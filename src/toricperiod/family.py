@@ -219,7 +219,8 @@ def big_cell_split(f, p, field):
     """
     a = evaluate(f, Mat2.identity(p), field)
     f_w = LinComb([(LaurentPoly.one(field), f), (-a, SPH)])
-    assert evaluate(f_w, Mat2.identity(p), field).is_zero
+    if not evaluate(f_w, Mat2.identity(p), field).is_zero:
+        raise ArithmeticError("big-cell remainder does not vanish at the identity")
     return a, f_w
 
 

@@ -153,7 +153,10 @@ def iwasawa_decompose(g):
         k = Mat2(p, 0, 1, 1, r)
         a1 = valuation(dt, p) - vc
         a2 = vc
-    assert k.is_unit(), f"Iwasawa k-part not in GL2(Z_p): {k}"
+    # k has entries 0, 1 and r with det k = +-1, so it lies in GL2(Z_p)
+    # exactly when r is integral.
+    if valuation(r, p) < 0:
+        raise ArithmeticError(f"Iwasawa k-part not in GL2(Z_p): {k}")
     return IwasawaFactors(a1=a1, a2=a2, k=k)
 
 

@@ -40,7 +40,7 @@ from .laurent import (
     y2,
 )
 from .scalars import FieldMismatch, NotRational, QNumeric
-from .whittaker import cs_factor_regularized, whittaker_coefficient
+from .whittaker import big_cell_profile, cs_factor_regularized, whittaker_coefficient
 
 
 def _resolve_field(f, field):
@@ -60,12 +60,15 @@ def zeta_window(f, field=None, extra=0):
 
     The window spans [-(n+2), n+4] for invariance level n: two indices of
     certified zeros below the vanishing tail and a guard zone of at least
-    two stabilized indices above the recurrence onset.
+    two stabilized indices above the recurrence onset.  A vector tied to a
+    prime is profiled on the big cell once, and every coefficient of the
+    window is read from that profile.
     """
     fld = _resolve_field(f, field)
     n = invariance_level(f)
+    profile = None if vector_prime(f) is None else big_cell_profile(f)
     return ZPoly.from_function(
-        fld, -(n + 2), n + 4 + extra, lambda k: whittaker_coefficient(f, k, fld)
+        fld, -(n + 2), n + 4 + extra, lambda k: whittaker_coefficient(f, k, fld, profile)
     )
 
 

@@ -458,7 +458,8 @@ class Cyclotomic:
         g, s, _ = pxgcd(poly, _phi_poly(self.p, self.level))
         # Phi_{p^M} is irreducible, so the gcd with any nonzero reduced
         # element is 1.
-        assert g == (Fraction(1),), "cyclotomic modulus not coprime"
+        if g != (Fraction(1),):
+            raise ArithmeticError("cyclotomic modulus not coprime")
         return Cyclotomic.from_poly(self.p, self.level, s)
 
     def __truediv__(self, other):

@@ -12,22 +12,35 @@ double integral
 
     c_k(f) = Y2^k * J_k(f),    J_k(f) = integral of f(w n(u)) psi^{-1}(a p^k u),
 
-which truncates to a finite exact sum once f vanishes at the identity: the
-vector is then zero on w n(u) below its invariance depth, and the integrand
-is constant on small enough cosets in both variables.  A general vector is
-first split as f = f(1) * spherical + remainder; the spherical half carries
-the regularized value
+which truncates to a finite exact sum once f vanishes at the identity.  A
+general vector is first split as f = f(1) * spherical + f_w; the spherical
+half carries the regularized value
 
     c_k(spherical) = (1 - q^{-1} Y1 Y2^{-1}) * h_k(Y1, Y2)
 
-with h_k the complete homogeneous polynomial, so only the remainder is ever
-integrated numerically.  All character sums are enumerated in a cyclotomic
-field of p-power conductor and projected back to rational coefficients at
-the end; a nonrational survivor raises rather than rounding away.
+with h_k the complete homogeneous polynomial, so only f_w is integrated.
+With L the invariance level of f_w, the profile u |-> f_w(w n(u)) vanishes
+for v(u) <= -L and is constant on cosets of p^L, so it is a finite table on
+p^{-(L-1)} Z_p / p^L Z_p.  The unit average of psi^{-1}(a x) is the
+normalized Ramanujan sum, 1 for v(x) >= 0, -1/(q-1) for v(x) = -1 and 0
+below, so it depends on u only through v(u).  Every J_k therefore follows
+from one pass over the profile, reduced to the value F0 = f_w(w) on the zero
+class and the shell sums S_v of f_w(w n(u)) over representatives with
+v(u) = v:
+
+    J_k = q^{-L} * (F0 + sum over v >= -k of S_v - S_{-k-1} / (q - 1)),   k >= -L,
+    J_k = 0,                                                             k < -L.
+
+Below -L the zero class cancels itself: inside p^L Z_p the ball p^{-k} Z_p
+carries weight 1, and the shell v = -k-1, of (q - 1) times its volume,
+carries weight -1/(q-1).
+All of this is rational; character sums over a cyclotomic field remain
+only in the Whittaker functional `lambda_chi` and `projected_sph`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import (
@@ -43,19 +56,16 @@ from .family import (
 )
 from .laurent import LaurentPoly
 from .localfield import (
-    INF,
-    ConductorExceeded,
     Mat2,
     coset_reps,
     psi_eval,
-    residue_mod,
     shell_character_integral,
     unipotent,
-    unit_reps,
+    unit_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count unit enumeration)
     valuation,
     weyl,
 )
-from .scalars import Cyclotomic, FieldMismatch, QCyclotomic, QNumeric
+from .scalars import FieldMismatch, QCyclotomic, QNumeric
 
 
 def shintani_sph(field, k):
@@ -84,71 +94,96 @@ def cs_factor_regularized(field):
     return one + sph_big_cell_value(field, 1).scale(shell_character_integral(-1, field))
 
 
-def _unit_average(p, level, depth, x):
-    """Average of psi^{-1}(a x) over units a modulo p^depth, by enumeration.
+def _unit_average(p, x):
+    """Average of psi^{-1}(a x) over units a: the normalized Ramanujan sum.
 
-    The terms are accumulated as integer counts of root-of-unity exponents
-    and reduced into one cyclotomic element at the end, so the loop body is
-    pure integer arithmetic.  Raises ConductorExceeded when the argument is
-    deeper than the working root of unity can express.
+    It depends only on v(x): 1 when psi is trivial on the orbit, -1/(q-1)
+    when the orbit runs over the nontrivial p-th roots of unity, and 0 once
+    it covers whole cosets of a deeper root of unity.
     """
     v = valuation(x, p)
-    if v == INF or v >= 0:
-        return Cyclotomic.from_fraction(p, level, 1)
-    m = -v
-    if m > level:
-        raise ConductorExceeded(f"character argument of depth {m} at working level {level}")
-    x0 = residue_mod(x * Fraction(p) ** m, p, m)
-    pm = p**level
-    shift = p ** (level - m)
-    counts = [0] * pm
-    for a in unit_reps(p, depth):
-        counts[(-a * x0 * shift) % pm] += 1
-    phi = (p - 1) * p ** (depth - 1)
-    return Cyclotomic.from_poly(p, level, tuple(Fraction(c, phi) for c in counts))
+    if v >= 0:
+        return Fraction(1)
+    if v == -1:
+        return Fraction(-1, p - 1)
+    return Fraction(0)
 
 
-def _j_integral(f_w, k, p, level=None, retried=False):
-    """Exact value of J_k(f_w) for a vector vanishing at the identity.
+@dataclass(frozen=True)
+class BigCellProfile:
+    """The big-cell data of a vector f that every J_k is read from.
 
-    With L the invariance level of f_w, the vector vanishes on w n(u) for
-    v(u) <= -L, and the integrand is constant on u-cosets of p^max(L, -k)
-    and on unit cosets of depth max(1, L-1-k).  The double sum over those
-    cosets is therefore the integral on the nose, not an approximation.
-    Each unit average is individually rational, so the accumulation stays
-    over the rational scalar field.
+    `identity` is f(1), so f = identity * spherical + f_w; `at_weyl` is
+    f_w(w), the profile on the zero class p^L Z_p; `shells[v]` is the sum of
+    f_w(w n(u)) over the coset representatives u of valuation v.
     """
-    L = invariance_level(f_w)
-    if level is None:
-        level = max(1, L - 1 - k)
-    l_u = max(L, -k)
-    l_a = max(1, L - 1 - k)
+
+    p: int
+    level: int
+    identity: LaurentPoly
+    at_weyl: LaurentPoly
+    shells: dict
+
+
+def big_cell_profile(f):
+    """One pass over u |-> f_w(w n(u)) for u in p^{-(L-1)} Z_p / p^L Z_p.
+
+    That is p^{2L-1} evaluations, whatever range of k is read from it.
+    """
+    p = vector_prime(f)
+    if p is None:
+        raise ValueError("vector carries no residue prime; tabulate it first")
     field = QNumeric(p)
+    identity, f_w = big_cell_split(f, p, field)
+    L = invariance_level(f_w)
     w = weyl(p)
-    pk = Fraction(p) ** k
-    total = LaurentPoly.zero(field)
-    try:
-        for u in coset_reps(p, -(L - 1), l_u):
-            f_u = evaluate(f_w, w * unipotent(p, u), field)
-            if f_u.is_zero:
-                continue
-            s = _unit_average(p, level, l_a, pk * u).rational_part()
-            if s:
-                total = total + f_u.scale(s)
-    except ConductorExceeded:
-        if retried:
-            raise
-        return _j_integral(f_w, k, p, level=level + 2, retried=True)
-    return total.scale(Fraction(1, p**l_u))
+    at_weyl = LaurentPoly.zero(field)
+    shells = {}
+    for u in coset_reps(p, -(L - 1), L):
+        value = evaluate(f_w, w * unipotent(p, u), field)
+        if value.is_zero:
+            continue
+        if u == 0:
+            at_weyl = value
+        else:
+            v = valuation(u, p)
+            shells[v] = shells[v] + value if v in shells else value
+    return BigCellProfile(p, L, identity, at_weyl, shells)
 
 
-def whittaker_coefficient(f, k, field=None):
+def _j_integral(profile, k):
+    """Exact value of J_k(f_w) from the shell sums of its big-cell profile.
+
+    A representative u of valuation v < L stands for the coset u + p^L Z_p,
+    on which v(u) and hence the unit average of psi^{-1}(a p^k u) is
+    constant, so
+
+        J_k = q^{-L} * (F0 + sum over v >= -k of S_v - S_{-k-1} / (q - 1))
+
+    for k >= -L.  The zero class is the whole ball p^L Z_p: for k >= -L it
+    lies in the kernel of psi^{-1}(a p^k .) and carries weight 1.  For
+    k < -L its own shells cancel, 1 + (q-1) * (-1/(q-1)) = 0, and every
+    other shell averages to 0, so J_k vanishes.
+    """
+    p, L = profile.p, profile.level
+    if k < -L:
+        return LaurentPoly.zero(profile.at_weyl.field)
+    total = profile.at_weyl
+    for v, s in profile.shells.items():
+        weight = _unit_average(p, Fraction(p) ** (k + v))
+        if weight:
+            total = total + s.scale(weight)
+    return total.scale(Fraction(1, p**L))
+
+
+def whittaker_coefficient(f, k, field=None, profile=None):
     """The coefficient c_k(f), exactly.
 
     Symbolic markers use their closed forms over the supplied field.  Table
     vectors, translates, and combinations are integrated at the prime they
     are tied to: the identity value rides the spherical closed form and the
-    big-cell remainder goes through the exact double sum.
+    big-cell remainder is read off its shell profile.  A caller reading
+    many k passes the `big_cell_profile(f)` it has already built.
     """
     if isinstance(f, Spherical):
         if field is None:
@@ -166,9 +201,10 @@ def whittaker_coefficient(f, k, field=None):
     numeric = QNumeric(p)
     if field is not None and field != numeric:
         raise FieldMismatch(f"vector is tied to {numeric}, not {field}")
-    a_f, f_w = big_cell_split(f, p, numeric)
-    out = a_f * cs_factor_regularized(numeric) * shintani_sph(numeric, k)
-    j = _j_integral(f_w, k, p)
+    if profile is None:
+        profile = big_cell_profile(f)
+    out = profile.identity * cs_factor_regularized(numeric) * shintani_sph(numeric, k)
+    j = _j_integral(profile, k)
     if not j.is_zero:
         out = out + LaurentPoly.monomial(numeric, numeric.one, 0, k) * j
     return out

@@ -46,25 +46,28 @@ def test_identities_out_file(tmp_path, capsys):
     assert target.read_text().count("PASS") == 7
 
 
-def test_theorem_trials(capsys):
+@pytest.mark.parametrize("p,level,trials,seed", [(3, 1, 4, 9), (5, 3, 1, 0)])
+def test_theorem_trials(capsys, p, level, trials, seed):
     code, out, _ = run_cli(
-        capsys, "theorem", "--p", "3", "--level", "1", "--trials", "4", "--seed", "9"
+        capsys, "theorem", "--p", str(p), "--level", str(level),
+        "--trials", str(trials), "--seed", str(seed),
     )
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(rows) == 4 + 2 + 1
-    for i, row in enumerate(rows[:4]):
+    assert len(rows) == trials + 2 + 1
+    for i, row in enumerate(rows[:trials]):
         assert row["trial"] == i
-        assert row["seed"] == 9 + i
+        assert (row["p"], row["level"]) == (p, level)
+        assert row["seed"] == seed + i
         assert row["pass"] and row["member"] and row["rational"]
         assert row["certificate"]["verified"] is True
-    checks = rows[4:6]
+    checks = rows[trials:trials + 2]
     assert {c["check"] for c in checks} == {
         "generator-1-attained",
         "generator-2-attained",
     }
     assert all(c["pass"] for c in checks)
-    assert rows[6]["summary"] == {"trials": 4, "failures": 0}
+    assert rows[-1]["summary"] == {"trials": trials, "failures": 0}
 
 
 def _strip_timing(text):

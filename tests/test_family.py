@@ -1,8 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toricperiod
+from toricperiod import family
 from toricperiod.family import (
     PHI_W,
     SPH,
@@ -208,6 +212,20 @@ def test_big_cell_split():
     for _ in range(25):
         g = rand_matrix(rng, 3)
         assert evaluate(f_w, g, F) == evaluate(f, g, F) - a * evaluate(SPH, g, F)
+
+
+def test_big_cell_split_guard(monkeypatch):
+    # a remainder that fails to vanish at the identity raises, not asserts
+    monkeypatch.setattr(family, "evaluate", lambda f, g, field: one(field))
+    with pytest.raises(ArithmeticError):
+        big_cell_split(SPH, 3, S)
+
+
+def test_library_invariants_survive_optimization():
+    # python -O strips assert statements, so no library invariant rests on one
+    for path in Path(toricperiod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 def test_vector_prime():

@@ -9,12 +9,12 @@ from toricperiod.family import (
     Translate,
     evaluate,
     f0_table,
+    invariance_level,
     random_table,
     sph_table,
 )
 from toricperiod.laurent import ZPoly, mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import (
-    ConductorExceeded,
     Mat2,
     coset_reps,
     diag,
@@ -78,63 +78,74 @@ def test_cs_factor():
 
 
 def test_unit_average_matches_direct_sum():
+    # the closed form against the character sum over units mod p^depth, for
+    # every depth that resolves the argument
     for p in (2, 3):
-        for depth in (1, 2, 3):
-            units = unit_reps(p, depth)
-            for num in (1, 2, 5, -3):
-                for e in (-3, -2, -1, 0, 1):
-                    x = Fraction(num) * Fraction(p) ** e
-                    level = max(1, -e)
-                    got = _unit_average(p, level, depth, x)
+        for num in (1, 2, 5, -3):
+            for e in (-3, -2, -1, 0, 1):
+                x = Fraction(num) * Fraction(p) ** e
+                level = max(1, -e)
+                for depth in (level, level + 1):
+                    units = unit_reps(p, depth)
                     direct = sum(
                         (psi_eval(-a * x, p, level) for a in units),
                         start=psi_eval(Fraction(0), p, level) * 0,
                     )
-                    assert got * len(units) == direct
+                    assert direct == direct.rational_part()
+                    assert direct.rational_part() == _unit_average(p, x) * len(units)
 
 
 def test_unit_average_closed_form():
     # the average depends only on the valuation: 1, then -1/(q-1), then 0
     for p in (2, 3, 5):
-        for depth in (1, 2):
-            assert _unit_average(p, 1, depth, Fraction(7)).rational_part() == 1
-            assert _unit_average(p, 1, depth, Fraction(0)).rational_part() == 1
-            got = _unit_average(p, 1, depth, Fraction(3, p) if p != 3 else Fraction(2, 3))
-            assert got.rational_part() == Fraction(-1, p - 1)
-            deep = _unit_average(p, 2, depth + 1, Fraction(1, p * p))
-            assert deep.rational_part() == 0
+        assert _unit_average(p, Fraction(7)) == 1
+        assert _unit_average(p, Fraction(0)) == 1
+        assert _unit_average(p, Fraction(p, 7)) == 1
+        got = _unit_average(p, Fraction(3, p) if p != 3 else Fraction(2, 3))
+        assert got == Fraction(-1, p - 1)
+        assert _unit_average(p, Fraction(1, p * p)) == 0
+        assert _unit_average(p, Fraction(2, p**3)) == 0
+        assert isinstance(_unit_average(p, Fraction(1, p)), Fraction)
 
 
-def test_unit_average_conductor_guard():
-    with pytest.raises(ConductorExceeded):
-        _unit_average(3, 1, 2, Fraction(1, 9))
+# -- coefficients against honest enumeration -----------------------------------------
 
 
-# -- spherical coefficients against honest enumeration ------------------------------
+def brute_coefficient(f, p, k, values=None):
+    """c_k of any vector f tied to p, by direct double enumeration.
 
-
-def brute_sph_coefficient(p, k):
-    """c_k of the spherical vector by direct double enumeration.
-
-    Truncating u at valuation -(k+2) is exact because the unit average kills
-    every deeper shell; nothing from the closed forms under test is used.
+    J_k(f) is summed over u-cosets of p^max(L, -k), on which both f(w n(u))
+    and the character argument p^k u are resolved, and over units mod p.
+    Truncating u at valuation -(k+1) is exact because the unit average
+    kills every deeper shell; p^k u then has valuation at least -1, so the
+    units mod p see every character value.  Nothing from the engine's split,
+    closed forms or shell sums is used.  `values` memoizes f(w n(u)) by u
+    across calls, which is what keeps the window of a depth-2 table at p=3
+    (3^9 points for its top coefficient) quick.
     """
     F = QNumeric(p)
-    depth = max(0, k + 2)
-    l_u = max(1, -k)
-    l_a = max(1, depth - k)
-    level = max(1, depth - k)
-    units = unit_reps(p, l_a)
+    if values is None:
+        values = {}
+    l_u = max(invariance_level(f), -k)
+    units = unit_reps(p, 1)
     w = weyl(p)
+    pk = Fraction(p) ** k
     total = zero(F)
-    for u in coset_reps(p, -depth, l_u):
-        f_u = evaluate(SPH, w * unipotent(p, u), F)
-        acc = psi_eval(Fraction(0), p, level) * 0
-        for a in units:
-            acc = acc + psi_eval(-a * Fraction(p) ** k * u, p, level)
-        s = acc.rational_part() / len(units)
-        if s:
-            total = total + f_u.scale(s)
+    averages = {}
+    for u in coset_reps(p, -(k + 1), l_u):
+        if u not in values:
+            values[u] = evaluate(f, w * unipotent(p, u), F)
+        if values[u].is_zero:
+            continue
+        # psi is trivial on Z_p, so the unit sum depends on p^k u mod 1 only
+        x = pk * u % 1
+        if x not in averages:
+            acc = psi_eval(Fraction(0), p, 1) * 0
+            for a in units:
+                acc = acc + psi_eval(-a * x, p, 1)
+            averages[x] = acc.rational_part() / len(units)
+        if averages[x]:
+            total = total + values[u].scale(averages[x])
     total = total.scale(Fraction(1, p**l_u))
     return mono(F, Fraction(1), 0, k) * total
 
@@ -143,8 +154,31 @@ def brute_sph_coefficient(p, k):
 def test_spherical_coefficients_by_enumeration(p):
     F = QNumeric(p)
     cs = cs_factor_regularized(F)
+    values = {}
     for k in range(-2, 4):
-        assert brute_sph_coefficient(p, k) == cs * shintani_sph(F, k)
+        assert brute_coefficient(SPH, p, k, values) == cs * shintani_sph(F, k)
+
+
+ORACLE_VECTORS = [
+    ("table", 2, 1),
+    ("table", 2, 2),
+    ("table", 3, 1),
+    ("table", 3, 2),
+    ("translate", 2, 1),
+]
+
+
+@pytest.mark.parametrize("kind,p,n", ORACLE_VECTORS)
+def test_coefficients_match_enumeration(kind, p, n):
+    # every coefficient of the zeta window, including the zero-class term and
+    # the certified zeros below -L, against the independent double sum
+    f = random_table(p, n, seed=70 + 10 * p + n)
+    if kind == "translate":
+        f = Translate(unipotent(p, Fraction(1, p)), f)
+    L = invariance_level(f)
+    values = {}
+    for k in range(-(L + 2), L + 5):
+        assert whittaker_coefficient(f, k) == brute_coefficient(f, p, k, values), k
 
 
 # -- engine coefficients ---------------------------------------------------------------
