@@ -17,6 +17,13 @@ successful membership test produces explicit Laurent cofactors u1, u2 with
 u1*g1 + u2*g2 = h, and the equation is re-expanded and checked before the
 certificate is returned.  A nonzero normal form against a completed basis
 is a proof of non-membership, so both answers are certified.
+
+Reduction (normal forms and s-polynomials alike) runs in place on plain
+term dicts for the working polynomial and for each cofactor, so a step
+costs the size of the basis element it subtracts, not the size of
+everything reduced so far.  The leading-term choice and the divisor order
+are fixed (grevlex maximum, first divisor in basis order), so with
+canonical scalars the certificates do not depend on that bookkeeping.
 """
 
 from __future__ import annotations
@@ -117,13 +124,6 @@ class Poly3:
                     out[key] = s
         return Poly3(self.field, out)
 
-    def term_mul(self, c, e):
-        """Multiply by the single term c * Y1^e0 * Y2^e1 * u^e2."""
-        return Poly3(
-            self.field,
-            {(f[0] + e[0], f[1] + e[1], f[2] + e[2]): v * c for f, v in self.terms.items()},
-        )
-
     def scale(self, c):
         return Poly3(self.field, {e: v * c for e, v in self.terms.items()})
 
@@ -133,10 +133,11 @@ class Poly3:
 
     def substitute_u(self):
         """Image under u -> (Y1*Y2)^{-1}, as a Laurent polynomial."""
-        out = LaurentPoly.zero(self.field)
+        out = {}
         for (a, b, c), v in self.terms.items():
-            out = out + LaurentPoly.monomial(self.field, v, a - c, b - c)
-        return out
+            key = (a - c, b - c)
+            out[key] = out[key] + v if key in out else v
+        return LaurentPoly(self.field, out)
 
 
 class TrackedPoly:
@@ -152,15 +153,32 @@ class TrackedPoly:
         self.poly = poly
         self.reps = reps
 
-    def axpy(self, c, e, other):
-        """Return self - c * x^e * other, applied to poly and reps alike."""
-        return TrackedPoly(
-            self.poly - other.poly.term_mul(c, e),
-            tuple(r - s.term_mul(c, e) for r, s in zip(self.reps, other.reps)),
-        )
-
     def scale(self, c):
         return TrackedPoly(self.poly.scale(c), tuple(r.scale(c) for r in self.reps))
+
+
+def _sub_multiple(work, reps, c, shift, t):
+    """work -= c * x^shift * t.poly and reps[i] -= c * x^shift * t.reps[i].
+
+    work and reps are plain term dicts, updated in place; cancelled terms
+    are dropped.
+    """
+    s0, s1, s2 = shift
+    for dst, src in zip((work, *reps), (t.poly, *t.reps)):
+        for (a, b, u), v in src.terms.items():
+            key = (a + s0, b + s1, u + s2)
+            if key in dst:
+                left = dst[key] - v * c
+                if left:
+                    dst[key] = left
+                else:
+                    del dst[key]
+            else:
+                dst[key] = -(v * c)
+
+
+def _tracked(field, work, reps):
+    return TrackedPoly(Poly3(field, work), tuple(Poly3(field, r) for r in reps))
 
 
 def _tracked_nf(target, basis):
@@ -171,31 +189,40 @@ def _tracked_nf(target, basis):
     invariant; for a membership query seeded with zero reps, the identity
     input = result.poly - sum(result.reps[i] * gens[i])) still holds on exit.
     The returned remainder has no term divisible by any basis leading term.
+
+    The reduction runs in place on plain term dicts, one for the working
+    polynomial and one per rep, which are wrapped as Poly3 once at the end.
+    Each step takes the grevlex-largest term of the working polynomial and
+    the first basis element, in basis order, whose leading monomial divides
+    it, so the remainder and the reps do not depend on how the dicts are kept.
     """
     field = target.poly.field
-    work = target
+    work = dict(target.poly.terms)
+    reps = [dict(r.terms) for r in target.reps]
     rem = {}
     lts = [(t.poly.leading(), t) for t in basis]
-    while work.poly.terms:
-        e, c = work.poly.leading()
+    while work:
+        e = max(work, key=_grevlex3)
+        c = work[e]
         for (lm, lc), t in lts:
             if _divides(lm, e):
                 shift = (e[0] - lm[0], e[1] - lm[1], e[2] - lm[2])
-                work = work.axpy(c / lc, shift, t)
+                _sub_multiple(work, reps, c / lc, shift, t)
                 break
         else:
-            rem[e] = c
-            work = TrackedPoly(work.poly - Poly3(field, {e: c}), work.reps)
-    return TrackedPoly(Poly3(field, rem), work.reps)
+            rem[e] = work.pop(e)
+    return _tracked(field, rem, reps)
 
 
 def _spoly(f, g):
     (ef, cf), (eg, cg) = f.poly.leading(), g.poly.leading()
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     one = f.poly.field.one
-    left = TrackedPoly(Poly3.zero(f.poly.field), tuple(Poly3.zero(f.poly.field) for _ in f.reps))
-    left = left.axpy(-(one / cf), tuple(l - a for l, a in zip(lcm, ef)), f)
-    return left.axpy(one / cg, tuple(l - a for l, a in zip(lcm, eg)), g)
+    work = {}
+    reps = [{} for _ in f.reps]
+    _sub_multiple(work, reps, -(one / cf), tuple(l - a for l, a in zip(lcm, ef)), f)
+    _sub_multiple(work, reps, one / cg, tuple(l - a for l, a in zip(lcm, eg)), g)
+    return _tracked(f.poly.field, work, reps)
 
 
 def _buchberger(gens):

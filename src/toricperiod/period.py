@@ -25,6 +25,7 @@ spherical line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .family import invariance_level, vector_prime
@@ -41,6 +42,10 @@ from .laurent import (
 )
 from .scalars import FieldMismatch, NotRational, QNumeric
 from .whittaker import big_cell_profile, cs_factor_regularized, whittaker_coefficient
+
+
+class VerdictMismatch(ArithmeticError):
+    """The membership solver and the point oracle disagree about a period."""
 
 
 def _resolve_field(f, field):
@@ -118,6 +123,18 @@ def image_ideal_alt(field):
     )
 
 
+def _vanishes_at_image_point(la):
+    """Whether la vanishes at (Y1, Y2) = (1, 1/q).
+
+    The image ideal is the maximal ideal of that point (modulo it, Y1 = 1
+    and Y2 = q^{-1} Y1), so this decides membership by evaluation alone,
+    sharing no code with the Grobner route.
+    """
+    fld = la.field
+    inv_q = fld.q_power(-1) if fld.is_symbolic else Fraction(1, fld.q)
+    return la.evaluate_at(Fraction(1), inv_q) == fld.zero
+
+
 def _coefficients_rational(value):
     fld = value.field
     if fld.kind != "cyclotomic":
@@ -154,12 +171,19 @@ def verify_image(f, field=None, solver=None):
 
     The certificate, when present, has already been re-verified by direct
     expansion; `member` is False only when the division search honestly
-    fails, which the image theorem rules out for family vectors.
+    fails, which the image theorem rules out for family vectors.  The
+    verdict is checked against evaluation at the ideal's one point, and
+    VerdictMismatch is raised if the two disagree.
     """
     fld = _resolve_field(f, field)
     la = toric_period(f, field)
     g1, g2 = image_ideal(fld)
     cert = laurent_membership(la, g1, g2, solver=solver)
+    if (cert is not None) != _vanishes_at_image_point(la):
+        raise VerdictMismatch(
+            f"solver says {'member' if cert is not None else 'non-member'}, "
+            f"but evaluation at (1, 1/q) disagrees for {la}"
+        )
     return PeriodReport(
         la=la,
         member=cert is not None,

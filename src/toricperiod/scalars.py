@@ -71,7 +71,8 @@ def pmul(a, b):
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+            if y != 0:
+                out[i + j] = out[i + j] + x * y
     return pstrip(out)
 
 
@@ -163,21 +164,38 @@ def pstr(a, var="q"):
 # Rational functions in the formal variable q.
 
 
+def _fraction_poly(coeffs):
+    """coeffs as a stripped tuple of Fractions; entries already Fractions are kept."""
+    return pstrip(tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
+
+
 class RationalFunction:
     """Element of Q(q), stored as a reduced fraction of Fraction-tuples.
 
     Invariants: gcd(num, den) = 1 and den is monic; zero is ((), (1,)).
+
+    A denominator c*q^k (the common case: Laurent polynomials in q) skips
+    Euclid.  Its monic gcd with num is q^m for m = min(k, ord_q num), so m
+    low entries are stripped from both and den is scaled to q^(k-m), which
+    is exactly the form the gcd route returns.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = pstrip(tuple(Fraction(c) for c in num))
-        den = pstrip(tuple(Fraction(c) for c in den))
+        num = _fraction_poly(num)
+        den = _fraction_poly(den)
         if not den:
             raise NotInvertible("rational function with zero denominator")
         if not num:
             den = (Fraction(1),)
+        elif not any(den[:-1]):
+            m = min(len(den) - 1, next(i for i, c in enumerate(num) if c))
+            num, den = num[m:], den[m:]
+            if den[-1] != 1:
+                lc_inv = 1 / den[-1]
+                num = tuple(c * lc_inv for c in num)
+                den = den[:-1] + (Fraction(1),)
         else:
             g = pgcd(num, den)
             if len(g) > 1:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toricperiod
 from toricperiod.cli import main
 from toricperiod.family import f0_table, vector_to_json
 from toricperiod.scalars import QNumeric
@@ -181,10 +184,15 @@ def test_missing_subcommand():
 
 
 def test_module_entry_point():
+    # The child imports the same package as this process, wherever pytest
+    # found it (an install, PYTHONPATH, or the ini file's pythonpath).
+    src = str(Path(toricperiod.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "toricperiod.cli", "ideal", "--check", "proper"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

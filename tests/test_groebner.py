@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricperiod.groebner import (
     Certificate,
@@ -15,7 +17,7 @@ from toricperiod.groebner import (
     laurent_membership,
 )
 from toricperiod.laurent import LaurentPoly, mono, one, qpow, y1, y2, zero
-from toricperiod.scalars import QNumeric, QSymbolic
+from toricperiod.scalars import QNumeric, QSymbolic, RationalFunction
 
 S = QSymbolic()
 N3 = QNumeric(3)
@@ -208,6 +210,191 @@ def test_membership_is_deterministic():
     a = MembershipSolver().membership(h, g1, g2)
     b = MembershipSolver().membership(h, g1, g2)
     assert (a.u1, a.u2) == (b.u1, b.u2)
+
+
+# -- golden certificates -------------------------------------------------------------
+#
+# Two certificates pinned exactly.  The reduction order is part of a
+# certificate, so a change to the leading-term choice, to the divisor order
+# or to the normal form of scalars shows up here.
+
+
+def qlaurent(low, *coeffs):
+    """The Q(q) scalar sum(coeffs[i] * q^(low + i))."""
+    num = tuple(Fraction(c) for c in coeffs)
+    if low >= 0:
+        return RationalFunction((0,) * low + num)
+    return RationalFunction(num, (0,) * (-low) + (1,))
+
+
+def golden_json(golden):
+    return {
+        "u1": [{"c": c, "e": list(e)} for c, e in golden["u1"]],
+        "u2": [{"c": c, "e": list(e)} for c, e in golden["u2"]],
+        "verified": True,
+    }
+
+
+GOLDEN_SYMBOLIC = {
+    "u1": [
+        ("(-1 - 3*q)/(q^3)", (-1, -1)),
+        ("(1 + 3*q)/(q^4)", (0, -2)),
+        ("(-1 - 3*q)/(q^2)", (-1, 0)),
+        ("(1 + 3/2*q + 2*q^2)/(q^4)", (0, -1)),
+        ("(-1 - 1/2*q + q^2)/(q^5)", (1, -2)),
+        ("(-1 - 3*q)/(q)", (-1, 1)),
+        ("(1 + 3/2*q + 2*q^2)/(q^3)", (0, 0)),
+        ("(-1 - 1/2*q + q^2)/(q^4)", (1, -1)),
+        ("(2 - q^2)/(q^2)", (2, -2)),
+        ("(3/2 + 3*q)/(q)", (0, 1)),
+        ("(-1 - 1/2*q + q^2)/(q^3)", (1, 0)),
+        ("-1 + 2*q", (2, -1)),
+        ("(1 - 2*q)/(q)", (3, -2)),
+    ],
+    "u2": [
+        ("(1 + 3*q + 3*q^2 + q^4)/(q^3)", (-1, -1)),
+        ("(1 + 3*q)/(q^2)", (-1, 0)),
+        ("(-1 - 3/2*q - 2*q^2)/(q^4)", (0, -1)),
+        ("(1 + 3*q)/(q)", (-1, 1)),
+        ("(-1 - 3/2*q - 2*q^2)/(q^3)", (0, 0)),
+        ("(1 + 1/2*q - q^2 + 2*q^3 - q^5)/(q^4)", (1, -1)),
+        ("1 + 3*q", (-1, 2)),
+        ("(-1 - 3/2*q - 2*q^2)/(q^2)", (0, 1)),
+        ("(1 + 1/2*q - q^2)/(q^3)", (1, 0)),
+        ("(-2 + q - q^2)/(q)", (2, -1)),
+        ("-3/2 - 3*q", (0, 2)),
+        ("(1 + 1/2*q - q^2)/(q^2)", (1, 1)),
+        ("q - 2*q^2", (2, 0)),
+        ("-1 + 2*q", (3, -1)),
+    ],
+}
+
+GOLDEN_Q7 = {
+    "u1": [
+        ("-4/49", (-2, -2)),
+        ("4/343", (-1, -3)),
+        ("-4/7", (-2, -1)),
+        ("30/343", (-1, -2)),
+        ("-2/2401", (0, -3)),
+        ("2/49", (-1, -1)),
+        ("-2/343", (0, -2)),
+        ("5/7", (1, -3)),
+        ("2/7", (-1, 0)),
+        ("-2/49", (0, -1)),
+        ("152/36015", (1, -2)),
+        ("-152/252105", (2, -3)),
+        ("-2/7", (0, 0)),
+        ("152/5145", (1, -1)),
+        ("-15739/72030", (2, -2)),
+        ("3/98", (3, -3)),
+        ("152/735", (1, 0)),
+        ("-152/5145", (2, -1)),
+        ("3/14", (3, -2)),
+        ("1/21", (1, 1)),
+        ("-1/147", (2, 0)),
+        ("-1/21", (2, 1)),
+    ],
+    "u2": [
+        ("4/49", (-2, -2)),
+        ("4/7", (-2, -1)),
+        ("-30/343", (-1, -2)),
+        ("4", (-2, 0)),
+        ("-30/49", (-1, -1)),
+        ("1717/343", (0, -2)),
+        ("-2/7", (-1, 0)),
+        ("2/49", (0, -1)),
+        ("-180227/36015", (1, -2)),
+        ("-2", (-1, 1)),
+        ("2/7", (0, 0)),
+        ("-152/5145", (1, -1)),
+        ("15739/72030", (2, -2)),
+        ("2", (0, 1)),
+        ("-152/735", (1, 0)),
+        ("15739/10290", (2, -1)),
+        ("11/14", (3, -2)),
+        ("-152/105", (1, 1)),
+        ("152/735", (2, 0)),
+        ("-3/2", (3, -1)),
+        ("-1/3", (1, 2)),
+        ("1/21", (2, 1)),
+        ("1/3", (2, 2)),
+    ],
+}
+
+
+def test_golden_symbolic_certificate():
+    g1, g2 = gen_pair(S)
+    u1 = (
+        LaurentPoly.monomial(S, qlaurent(-1, 2, 0, -1), 1, -1)
+        + LaurentPoly.monomial(S, qlaurent(0, 1, 3), -1, 2)
+        + LaurentPoly.monomial(S, qlaurent(-2, -1, 0, 1), 0, 1)
+    )
+    u2 = (
+        LaurentPoly.monomial(S, qlaurent(1, 1, -2), 2, 0)
+        + LaurentPoly.monomial(S, qlaurent(-1, 3, 0, 1), -1, -1)
+        + mono(S, Fraction(-1, 2), 0, 2)
+    )
+    h = u1 * g1 + u2 * g2
+    cert = MembershipSolver().membership(h, g1, g2)
+    assert cert.to_json() == golden_json(GOLDEN_SYMBOLIC)
+
+
+def test_golden_numeric_certificate():
+    n7 = QNumeric(7)
+    g1, g2 = gen_pair(n7)
+    u1 = (
+        mono(n7, Fraction(3, 2), 2, -1)
+        + mono(n7, -2, -1, 1)
+        + mono(n7, 5, 0, -2)
+        + mono(n7, Fraction(-1, 3), 1, 2)
+    )
+    u2 = mono(n7, 4, -2, 0) + mono(n7, Fraction(-7, 5), 1, 1) + mono(n7, 1, 3, -2)
+    h = u1 * g1 + u2 * g2
+    cert = MembershipSolver().membership(h, g1, g2)
+    assert cert.to_json() == golden_json(GOLDEN_Q7)
+
+
+# -- verdict against the point oracle -------------------------------------------------
+#
+# The image ideal is the maximal ideal of the point (Y1, Y2) = (1, 1/q), so
+# h is a member exactly when h vanishes there.
+
+
+@st.composite
+def laurent_polys(draw, field, max_terms=3, span=2):
+    out = zero(field)
+    for _ in range(draw(st.integers(0, max_terms))):
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        if field.is_symbolic:
+            c = field.from_fraction(c) * field.q_power(draw(st.integers(-2, 2)))
+        else:
+            c = field.from_fraction(c)
+        e1 = draw(st.integers(-span, span))
+        e2 = draw(st.integers(-span, span))
+        out = out + LaurentPoly.monomial(field, c, e1, e2)
+    return out
+
+
+@st.composite
+def perturbed_combinations(draw):
+    field = draw(st.sampled_from([S, QNumeric(2), QNumeric(3), QNumeric(5), QNumeric(7)]))
+    g1, g2 = gen_pair(field)
+    u1 = draw(laurent_polys(field))
+    u2 = draw(laurent_polys(field))
+    c = Fraction(draw(st.sampled_from([0, 0, 1, -2])), draw(st.integers(1, 2)))
+    return field, u1 * g1 + u2 * g2 + c
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_combinations())
+def test_membership_verdict_matches_point_oracle(case):
+    field, h = case
+    g1, g2 = gen_pair(field)
+    vanishes = h.evaluate_at(field.one, field.q_power(-1)) == field.zero
+    cert = MembershipSolver().membership(h, g1, g2)
+    assert (cert is not None) == vanishes
+    if cert is not None:
+        assert cert.holds_for(h, g1, g2)
 
 
 # -- ideal comparison -------------------------------------------------------------------

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
-from toricperiod.groebner import MembershipSolver
-from toricperiod.laurent import ZPoly, mono, one, qpow, y1, y2
+from toricperiod import period
+from toricperiod.groebner import Certificate, MembershipSolver
+from toricperiod.laurent import ZPoly, mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import Mat2, diag
 from toricperiod.period import (
+    VerdictMismatch,
     cleared_window,
     image_ideal,
     image_ideal_alt,
@@ -115,6 +117,24 @@ def test_verify_image_on_random_tables(p, n, seed):
     assert report.member
     g1, g2 = image_ideal(QNumeric(p))
     assert report.certificate.holds_for(report.la, g1, g2)
+
+
+def test_wrong_solver_verdict_is_caught(monkeypatch):
+    # The period of SPH is a member; a solver that refuses it contradicts
+    # evaluation at (1, 1/q).
+    monkeypatch.setattr(period, "laurent_membership", lambda *args, **kwargs: None)
+    with pytest.raises(VerdictMismatch):
+        verify_image(SPH, field=S)
+
+
+def test_wrong_member_verdict_is_caught(monkeypatch):
+    # A period that does not vanish at (1, 1/q) cannot carry a certificate.
+    monkeypatch.setattr(period, "toric_period", lambda f, field=None: one(S))
+    monkeypatch.setattr(
+        period, "laurent_membership", lambda *args, **kwargs: Certificate(zero(S), zero(S))
+    )
+    with pytest.raises(VerdictMismatch):
+        verify_image(SPH, field=S)
 
 
 def test_report_json_shape():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toricperiod.scalars import (
     Cyclotomic,
@@ -13,6 +15,7 @@ from toricperiod.scalars import (
     QSymbolic,
     RationalFunction,
     parse_rational,
+    pdiv_exact,
     pdivmod,
     pgcd,
     pmul,
@@ -158,6 +161,34 @@ def test_rf_is_q_monomial():
     assert RF((0, 0, -2)).is_q_monomial() == (-2, 2)
     assert RF((1, 1)).is_q_monomial() is None
     assert RF(()).is_q_monomial() is None
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+nonzero_fractions = small_fractions.filter(lambda c: c != 0)
+
+
+@given(
+    low_zeros=st.integers(0, 4),
+    coeffs=st.lists(small_fractions, max_size=5),
+    k=st.integers(0, 5),
+    c=nonzero_fractions,
+)
+def test_rf_monomial_denominator_matches_euclid(low_zeros, coeffs, k, c):
+    # den = c * q^k takes the shortcut past Euclid; it must land on the same
+    # reduced, monic-denominator form that the gcd route computes.
+    num = (Fraction(0),) * low_zeros + tuple(coeffs)
+    den = (Fraction(0),) * k + (c,)
+    f = RF(num, den)
+    num = pstrip(num)
+    if not num:
+        assert (f.num, f.den) == ((), (1,))
+        return
+    g = pgcd(num, den)
+    want_num, want_den = pdiv_exact(num, g), pdiv_exact(den, g)
+    lc = want_den[-1]
+    assert f.num == tuple(x / lc for x in want_num)
+    assert f.den == tuple(x / lc for x in want_den)
+    assert f.den[-1] == 1 and all(x == 0 for x in f.den[:-1])
 
 
 def test_rf_str():
