@@ -131,8 +131,7 @@ def _vanishes_at_image_point(la):
     sharing no code with the Grobner route.
     """
     fld = la.field
-    inv_q = fld.q_power(-1) if fld.is_symbolic else Fraction(1, fld.q)
-    return la.evaluate_at(Fraction(1), inv_q) == fld.zero
+    return la.evaluate_at(Fraction(1), fld.q_power(-1)) == fld.zero
 
 
 def _coefficients_rational(value):

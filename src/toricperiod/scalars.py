@@ -492,6 +492,20 @@ class Cyclotomic:
             return NotImplemented
         return o * self.inverse()
 
+    def __pow__(self, e):
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = Cyclotomic.from_fraction(self.p, self.level, 1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

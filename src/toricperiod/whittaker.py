@@ -24,9 +24,8 @@ for v(u) <= -L and is constant on cosets of p^L, so it is a finite table on
 p^{-(L-1)} Z_p / p^L Z_p.  The unit average of psi^{-1}(a x) is the
 normalized Ramanujan sum, 1 for v(x) >= 0, -1/(q-1) for v(x) = -1 and 0
 below, so it depends on u only through v(u).  Every J_k therefore follows
-from one pass over the profile, reduced to the value F0 = f_w(w) on the zero
-class and the shell sums S_v of f_w(w n(u)) over representatives with
-v(u) = v:
+from the value F0 = f_w(w) on the zero class and the shell sums S_v of
+f_w(w n(u)) over representatives with v(u) = v:
 
     J_k = q^{-L} * (F0 + sum over v >= -k of S_v - S_{-k-1} / (q - 1)),   k >= -L,
     J_k = 0,                                                             k < -L.
@@ -34,6 +33,12 @@ v(u) = v:
 Below -L the zero class cancels itself: inside p^L Z_p the ball p^{-k} Z_p
 carries weight 1, and the shell v = -k-1, of (q - 1) times its volume,
 carries weight -1/(q-1).
+
+F0 and the S_v are read without forming a group element: w n(u) has an
+explicit Iwasawa form, so each S_v is a sum of the class values of f over
+the classes of one valuation, times a torus monomial when v < 0.  That is
+one pass of p^L + p^{L-1} table reads per vector (see `big_cell_profile`).
+
 All of this is rational; character sums over a cyclotomic field remain
 only in the Whittaker functional `lambda_chi` and `projected_sph`.
 """
@@ -48,15 +53,18 @@ from .family import (
     IwahoriPhiW,
     LinComb,
     Spherical,
+    TableVector,
     Translate,
-    big_cell_split,
+    big_cell_split,  # noqa: F401  (bound here so perfbench/tracer.py can time the split)
     evaluate,
     invariance_level,
+    tabulate,
     vector_prime,
 )
 from .laurent import LaurentPoly
 from .localfield import (
     Mat2,
+    P1Class,
     coset_reps,
     psi_eval,
     shell_character_integral,
@@ -115,7 +123,8 @@ class BigCellProfile:
 
     `identity` is f(1), so f = identity * spherical + f_w; `at_weyl` is
     f_w(w), the profile on the zero class p^L Z_p; `shells[v]` is the sum of
-    f_w(w n(u)) over the coset representatives u of valuation v.
+    f_w(w n(u)) over the coset representatives u of valuation v, left out
+    when it is zero.
     """
 
     p: int
@@ -126,28 +135,50 @@ class BigCellProfile:
 
 
 def big_cell_profile(f):
-    """One pass over u |-> f_w(w n(u)) for u in p^{-(L-1)} Z_p / p^L Z_p.
+    """The shell sums of u |-> f_w(w n(u)), read off the class table of f.
 
-    That is p^{2L-1} evaluations, whatever range of k is read from it.
+    For u in Z_p, w n(u) = [[0, 1], [1, u]] already lies in GL2(Z_p): its
+    class is [u^{-1} : 1] for a unit u and [1 : u] otherwise, the zero
+    class p^L Z_p landing on [1 : 0].  For v(u) = -m < 0 the explicit
+    Iwasawa form
+
+        w n(u) = [[-u^{-1}, 1], [0, u]] * [[1, 0], [u^{-1}, 1]]
+
+    contributes the torus value q^{-m} Y1^m Y2^{-m} and the class
+    [u^{-1} : 1] with v(u^{-1}) = m, and each such class is hit by p^{2m}
+    of the cosets u + p^L Z_p.  With a = f(1), the value on [0 : 1], every
+    shell is one sum of T[c] - a over the classes c of one kind and one
+    valuation: p^L + p^{L-1} table reads and no group element.  A
+    translate or combination is first tabulated at its invariance level,
+    where the table is exact.
     """
     p = vector_prime(f)
     if p is None:
         raise ValueError("vector carries no residue prime; tabulate it first")
     field = QNumeric(p)
-    identity, f_w = big_cell_split(f, p, field)
-    L = invariance_level(f_w)
-    w = weyl(p)
-    at_weyl = LaurentPoly.zero(field)
+    table = f if isinstance(f, TableVector) else tabulate(f, p, invariance_level(f), field)
+    L = table.n
+    values = table.values
+    if table.field != field:
+        values = {cls: value.embed(field) for cls, value in values.items()}
+    sums, counts = {}, {}
+    for cls, value in values.items():
+        if cls.rep == 0:
+            continue  # [0 : 1] is the identity, [1 : 0] the zero class
+        v = valuation(cls.rep, p)
+        if not cls.at_infinity:
+            v = -v  # [c : 1] holds the u with u^{-1} = c mod p^L
+        sums[v] = sums[v] + value if v in sums else value
+        counts[v] = counts.get(v, 0) + 1
+    identity = values[P1Class(p, L, False, 0)]
+    at_weyl = values[P1Class(p, L, True, 0)] - identity
     shells = {}
-    for u in coset_reps(p, -(L - 1), L):
-        value = evaluate(f_w, w * unipotent(p, u), field)
-        if value.is_zero:
-            continue
-        if u == 0:
-            at_weyl = value
-        else:
-            v = valuation(u, p)
-            shells[v] = shells[v] + value if v in shells else value
+    for v, total in sums.items():
+        s = total - identity.scale(counts[v])
+        if v < 0:
+            s = sph_big_cell_value(field, -v).scale(p ** (-2 * v)) * s
+        if not s.is_zero:
+            shells[v] = s
     return BigCellProfile(p, L, identity, at_weyl, shells)
 
 

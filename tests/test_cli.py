@@ -49,7 +49,7 @@ def test_identities_out_file(tmp_path, capsys):
     assert target.read_text().count("PASS") == 7
 
 
-@pytest.mark.parametrize("p,level,trials,seed", [(3, 1, 4, 9), (5, 3, 1, 0)])
+@pytest.mark.parametrize("p,level,trials,seed", [(3, 1, 4, 9), (5, 3, 1, 0), (7, 3, 1, 0)])
 def test_theorem_trials(capsys, p, level, trials, seed):
     code, out, _ = run_cli(
         capsys, "theorem", "--p", str(p), "--level", str(level),

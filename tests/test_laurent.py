@@ -145,6 +145,20 @@ def test_common_zero_of_generators():
         assert (one(field) - qpow(field, 1) * y2(field)).evaluate_at(v1, v2) == field.zero
 
 
+def test_evaluate_at_over_cyclotomic_field():
+    # Laurent exponents need integer powers of cyclotomic scalars, negative
+    # ones through the inverse
+    F = QCyclotomic(3, 1)
+    h = LaurentPoly(F, {(1, -1): F.one})
+    assert h.evaluate_at(F.one, F.q_power(-1)) == F.from_fraction(3)
+    assert cs_factor(F).evaluate_at(F.one, F.q_power(-1)) == F.zero
+    assert (one(F) - y1(F)).evaluate_at(F.one, F.q_power(-1)) == F.zero
+    z = QCyclotomic(3, 2).zeta(1)
+    assert z**9 == z**0 == QCyclotomic(3, 2).one
+    assert z**-2 * z**2 == QCyclotomic(3, 2).one
+    assert z**-1 == z**8
+
+
 # -- coefficient maps ------------------------------------------------------------
 
 

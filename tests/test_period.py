@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
 from toricperiod import period
@@ -178,6 +180,44 @@ def test_period_linearity():
     c2 = mono(F, Fraction(-1, 4), 1, 0)
     combo = LinComb([(c1, f1), (c2, f2)])
     assert toric_period(combo) == c1 * toric_period(f1) + c2 * toric_period(f2)
+
+
+@st.composite
+def laurent_coefficients(draw, field):
+    out = zero(field)
+    for _ in range(draw(st.integers(0, 2))):
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        out = out + mono(field, c, draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    return out
+
+
+TABLE_SHAPES = st.sampled_from([(2, 1), (3, 1), (2, 2)])
+SEEDS = st.integers(0, 10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TABLE_SHAPES, SEEDS, SEEDS, st.data())
+def test_period_is_linear(shape, seed_f, seed_g, data):
+    # l(a f + b g) = a l(f) + b l(g) for Laurent coefficients a, b
+    p, n = shape
+    F = QNumeric(p)
+    f = random_table(p, n, seed=seed_f)
+    g = random_table(p, n, seed=seed_g)
+    a = data.draw(laurent_coefficients(F))
+    b = data.draw(laurent_coefficients(F))
+    combo = LinComb([(a, f), (b, g)])
+    assert toric_period(combo) == a * toric_period(f) + b * toric_period(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TABLE_SHAPES, SEEDS)
+def test_period_central_character(shape, seed):
+    # diag(p, p) acts through the unramified central character q Y1 Y2
+    p, n = shape
+    F = QNumeric(p)
+    f = random_table(p, n, seed=seed)
+    shifted = Translate(diag(p, p, p), f)
+    assert toric_period(shifted) == mono(F, F.q_power(1), 1, 1) * toric_period(f)
 
 
 # -- window bookkeeping --------------------------------------------------------------

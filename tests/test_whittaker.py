@@ -2,16 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from toricperiod import family, whittaker
 from toricperiod.family import (
     PHI_W,
     SPH,
     LinComb,
     Translate,
+    big_cell_split,
     evaluate,
     f0_table,
     invariance_level,
     random_table,
     sph_table,
+    vector_prime,
 )
 from toricperiod.laurent import ZPoly, mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import (
@@ -21,11 +24,14 @@ from toricperiod.localfield import (
     psi_eval,
     unipotent,
     unit_reps,
+    valuation,
     weyl,
 )
 from toricperiod.scalars import FieldMismatch, QCyclotomic, QNumeric, QSymbolic
 from toricperiod.whittaker import (
+    BigCellProfile,
     _unit_average,
+    big_cell_profile,
     cs_factor_regularized,
     lambda_chi,
     projected_sph,
@@ -165,6 +171,7 @@ ORACLE_VECTORS = [
     ("table", 3, 1),
     ("table", 3, 2),
     ("translate", 2, 1),
+    ("lincomb", 2, 2),
 ]
 
 
@@ -175,10 +182,83 @@ def test_coefficients_match_enumeration(kind, p, n):
     f = random_table(p, n, seed=70 + 10 * p + n)
     if kind == "translate":
         f = Translate(unipotent(p, Fraction(1, p)), f)
+    if kind == "lincomb":
+        # mixed levels: the profile tabulates the combination first
+        F = QNumeric(p)
+        g = random_table(p, n - 1, seed=80 + 10 * p + n)
+        f = LinComb([(mono(F, Fraction(2), 1, -1), f), (mono(F, Fraction(-1, 3), 0, 2), g)])
     L = invariance_level(f)
     values = {}
     for k in range(-(L + 2), L + 5):
         assert whittaker_coefficient(f, k) == brute_coefficient(f, p, k, values), k
+
+
+# -- the big-cell profile against per-coset evaluation ---------------------------------
+
+
+def coset_profile(f):
+    """The big-cell profile of f by evaluating f_w(w n(u)) coset by coset.
+
+    One general group evaluation (matrix product, Iwasawa decomposition,
+    class lookup) for each of the p^{2L-1} representatives u of
+    p^{-(L-1)} Z_p / p^L Z_p, summed by v(u); zero shells are left out.
+    """
+    p = vector_prime(f)
+    field = QNumeric(p)
+    identity, f_w = big_cell_split(f, p, field)
+    L = invariance_level(f_w)
+    w = weyl(p)
+    at_weyl = zero(field)
+    shells = {}
+    for u in coset_reps(p, -(L - 1), L):
+        value = evaluate(f_w, w * unipotent(p, u), field)
+        if u == 0:
+            at_weyl = value
+        else:
+            v = valuation(u, p)
+            shells[v] = shells[v] + value if v in shells else value
+    shells = {v: s for v, s in shells.items() if not s.is_zero}
+    return BigCellProfile(p, L, identity, at_weyl, shells)
+
+
+def _profile_vectors():
+    out = [pytest.param(random_table(p, n, seed=90 + 10 * p + n), id=f"random-{p}-{n}")
+           for p, n in [(2, 3), (3, 3), (5, 2), (7, 2)]]
+    out.append(pytest.param(f0_table(QNumeric(3), 3, 2), id="f0-3-2"))
+    out.append(pytest.param(sph_table(QNumeric(5), 5, 2), id="sph-5-2"))
+    # rational values stored over another field are embedded on the way in
+    out.append(pytest.param(f0_table(S, 2, 2), id="f0-symbolic-2-2"))
+    translate = Translate(unipotent(2, Fraction(1, 2)), random_table(2, 1, seed=5))
+    out.append(pytest.param(translate, id="translate-2-1"))
+    # levels 1 and 2 at p=3: the profile tabulates the combination first
+    F = QNumeric(3)
+    combo = LinComb([
+        (mono(F, Fraction(1, 2), -1, 1), random_table(3, 1, seed=6)),
+        (mono(F, Fraction(-3), 2, 0), random_table(3, 2, seed=7)),
+    ])
+    out.append(pytest.param(combo, id="lincomb-3-1-2"))
+    return out
+
+
+@pytest.mark.parametrize("f", _profile_vectors())
+def test_profile_matches_coset_evaluation(f):
+    got = big_cell_profile(f)
+    assert got == coset_profile(f)
+    assert got.level == invariance_level(f)
+
+
+def test_table_profile_forms_no_group_element(monkeypatch):
+    f = random_table(3, 2, seed=8)
+    expected = coset_profile(f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group element formed")
+
+    monkeypatch.setattr(Mat2, "__init__", refuse)
+    monkeypatch.setattr(family, "iwasawa_decompose", refuse)
+    monkeypatch.setattr(family, "evaluate", refuse)
+    monkeypatch.setattr(whittaker, "evaluate", refuse)
+    assert big_cell_profile(f) == expected
 
 
 # -- engine coefficients ---------------------------------------------------------------
