@@ -76,6 +76,15 @@ def _displayer(mode):
     return lambda v: v.to_y_display()
 
 
+def _emit(text, out):
+    """Write a command's output to the --out file, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _zpoly_display(window, disp):
     parts = []
     for k, v in sorted(window.coeffs.items()):
@@ -167,12 +176,7 @@ def cmd_identities(args):
         else:
             failures += 1
             lines.append(f"FAIL {name}: {complaint}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_FALSIFIED if failures else EXIT_OK
 
 
@@ -225,12 +229,7 @@ def cmd_theorem(args):
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
     lines.append(json.dumps(summary))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_FALSIFIED if failures else EXIT_OK
 
 
@@ -253,12 +252,7 @@ def cmd_period(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = verify_image(vec, field=field)
-    text = json.dumps(report.to_json(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return EXIT_OK if report.member and report.rational else EXIT_FALSIFIED
 
 

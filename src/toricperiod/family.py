@@ -179,6 +179,23 @@ def vector_prime(f):
     return None
 
 
+def vector_field(f, field=None):
+    """The scalar field f is computed over.
+
+    A vector tied to a prime p lives in QNumeric(p) and accepts no other
+    field; a symbolic marker lives in whichever field the caller supplies.
+    """
+    p = vector_prime(f)
+    if p is None:
+        if field is None:
+            raise ValueError("a scalar field is required for symbolic vectors")
+        return field
+    numeric = QNumeric(p)
+    if field is not None and field != numeric:
+        raise FieldMismatch(f"vector is tied to {numeric}, not {field}")
+    return numeric
+
+
 def tabulate(f, p, n, field):
     """Record f on class representatives as a depth-n table.
 
@@ -283,6 +300,16 @@ def _is_prime(p):
     return True
 
 
+def _class_count_exceeds(p, n, bound):
+    """Whether p^n + p^(n-1) > bound, multiplying only until the bound is passed."""
+    power = 1
+    for _ in range(n - 1):
+        power *= p
+        if power > bound:
+            return True
+    return power * (p + 1) > bound
+
+
 def vector_to_json(f):
     """JSON document for a symbolic marker or a table vector."""
     if isinstance(f, Spherical):
@@ -322,12 +349,22 @@ def vector_from_json(doc):
         rows = doc["values"]
     except KeyError as exc:
         raise ParseError(f"vector document missing key {exc}") from None
-    if not (isinstance(p, int) and _is_prime(p)):
+    if not (type(p) is int and p >= 2):
         raise ParseError(f"prime must be a prime integer, got {p!r}")
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ParseError(f"level must be a positive integer, got {n!r}")
     if not isinstance(rows, list):
         raise ParseError("values must be a list")
+    # P1(Z/p^n) has p^n + p^(n-1) > p classes.  Trial division takes sqrt(p)
+    # steps, so a prime past the row count is left untested (the count check
+    # rejects it), and the count is compared before any class is built.
+    if p <= len(rows) and not _is_prime(p):
+        raise ParseError(f"prime must be a prime integer, got {p!r}")
+    if _class_count_exceeds(p, n, len(rows)):
+        raise ClassCoverageError(
+            f"table for p={p}, n={n}: {len(rows)} rows leave classes missing "
+            f"(P1(Z/p^n) has p^n + p^(n-1) classes)"
+        )
     field = QNumeric(p)
     values = {}
     for row in rows:

@@ -257,13 +257,6 @@ class LaurentPoly:
     def map_coefficients(self, new_field, fn):
         return LaurentPoly(new_field, {e: fn(c) for e, c in self.terms.items()})
 
-    def specialize_q(self, target_field):
-        """Evaluate symbolic-q coefficients at the target field's prime."""
-        q = Fraction(target_field.q)
-        return self.map_coefficients(
-            target_field, lambda c: target_field.from_fraction(c.evaluate(q))
-        )
-
     def project_rational(self, target_field):
         """Project coefficients known to be rational (raises NotRational)."""
         return self.map_coefficients(
@@ -363,9 +356,9 @@ class LaurentPoly:
         terms = {}
         for item in items:
             e = item["e"]
-            if len(e) != 2:
-                raise ValueError(f"exponent pair expected, got {e!r}")
-            key = (int(e[0]), int(e[1]))
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+                raise ValueError(f"exponent pair of integers expected, got {e!r}")
+            key = (e[0], e[1])
             c = field.from_fraction(parse_rational(item["c"]))
             if key in terms:
                 terms[key] = terms[key] + c
@@ -491,39 +484,3 @@ class ZPoly:
         return [
             {"k": k, "coef": v.to_json_terms()} for k, v in sorted(self.coeffs.items())
         ]
-
-
-class LaurentFraction:
-    """Element of the fraction field Q(A), kept as an unreduced pair."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if num.field != den.field:
-            raise FieldMismatch("fraction with mismatched fields")
-        if den.is_zero:
-            raise NotInvertible("fraction with zero denominator")
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentFraction):
-            if isinstance(other, LaurentPoly):
-                other = LaurentFraction(other, LaurentPoly.one(other.field))
-            else:
-                return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def in_ring(self):
-        """The exact quotient if the fraction lies in A, else None."""
-        try:
-            return self.num.divide_exact(self.den)
-        except NotDivisible:
-            return None
-
-    def __repr__(self):
-        return f"LaurentFraction(({self.num}) / ({self.den}))"

@@ -28,19 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .family import invariance_level, vector_prime
-from .groebner import Certificate, MembershipSolver, laurent_membership
-from .laurent import (
-    LaurentFraction,
-    LaurentPoly,
-    TailViolation,
-    ZPoly,
-    one,
-    qpow,
-    y1,
-    y2,
-)
-from .scalars import FieldMismatch, NotRational, QNumeric
+from .family import invariance_level, vector_field, vector_prime
+from .groebner import Certificate, laurent_membership
+from .laurent import LaurentPoly, NotDivisible, ZPoly, one, qpow, y1, y2
+from .scalars import NotRational
 from .whittaker import big_cell_profile, cs_factor_regularized, whittaker_coefficient
 
 
@@ -48,19 +39,7 @@ class VerdictMismatch(ArithmeticError):
     """The membership solver and the point oracle disagree about a period."""
 
 
-def _resolve_field(f, field):
-    p = vector_prime(f)
-    if p is None:
-        if field is None:
-            raise ValueError("a scalar field is required for symbolic vectors")
-        return field
-    numeric = QNumeric(p)
-    if field is not None and field != numeric:
-        raise FieldMismatch(f"vector is tied to {numeric}, not {field}")
-    return numeric
-
-
-def zeta_window(f, field=None, extra=0):
+def zeta_window(f, field=None):
     """Exact coefficient window of I(f, Z) around the critical strip.
 
     The window spans [-(n+2), n+4] for invariance level n: two indices of
@@ -69,26 +48,22 @@ def zeta_window(f, field=None, extra=0):
     prime is profiled on the big cell once, and every coefficient of the
     window is read from that profile.
     """
-    fld = _resolve_field(f, field)
+    fld = vector_field(f, field)
     n = invariance_level(f)
     profile = None if vector_prime(f) is None else big_cell_profile(f)
     return ZPoly.from_function(
-        fld, -(n + 2), n + 4 + extra, lambda k: whittaker_coefficient(f, k, fld, profile)
+        fld, -(n + 2), n + 4, lambda k: whittaker_coefficient(f, k, fld, profile)
     )
 
 
 def cleared_window(f, field=None):
     """(1 - Y1 Z)(1 - Y2 Z) * I(f, Z) as a certified polynomial in Z.
 
-    Degree at most n + 2 is enforced by the window's guard zone; a window
-    that somehow leaves a nonzero tail is retried once with four more
-    coefficients so a genuine violation propagates with better evidence.
+    Degree at most n + 2 is enforced by the window's guard zone: a nonzero
+    coefficient past it raises TailViolation.  The window's coefficients are
+    exact, so a larger window would fail at the same indices.
     """
-    n = invariance_level(f)
-    try:
-        return zeta_window(f, field).clear_l_factor(n + 2)
-    except TailViolation:
-        return zeta_window(f, field, extra=4).clear_l_factor(n + 2)
+    return zeta_window(f, field).clear_l_factor(invariance_level(f) + 2)
 
 
 def toric_period(f, field=None):
@@ -102,9 +77,11 @@ def spherical_ratio(f, field=None):
     Returns the exact Laurent quotient, or None when the ratio genuinely
     leaves the ring; the spherical vector itself normalizes to 1.
     """
-    fld = _resolve_field(f, field)
-    ratio = LaurentFraction(toric_period(f, field), cs_factor_regularized(fld))
-    return ratio.in_ring()
+    la = toric_period(f, field)
+    try:
+        return la.divide_exact(cs_factor_regularized(la.field))
+    except NotDivisible:
+        return None
 
 
 def image_ideal(field):
@@ -174,9 +151,8 @@ def verify_image(f, field=None, solver=None):
     verdict is checked against evaluation at the ideal's one point, and
     VerdictMismatch is raised if the two disagree.
     """
-    fld = _resolve_field(f, field)
     la = toric_period(f, field)
-    g1, g2 = image_ideal(fld)
+    g1, g2 = image_ideal(la.field)
     cert = laurent_membership(la, g1, g2, solver=solver)
     if (cert is not None) != _vanishes_at_image_point(la):
         raise VerdictMismatch(

@@ -692,17 +692,10 @@ class QCyclotomic:
         return f"QCyclotomic(p={self.p}, M={self.level})"
 
 
-def specialize_scalar(x, q):
-    """Send a QSymbolic scalar to the rationals by evaluating at a concrete q."""
-    if isinstance(x, RationalFunction):
-        return x.evaluate(q)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise FieldMismatch(f"cannot specialize {x!r}")
-
-
 def parse_rational(s):
     """Parse 'a' or 'a/b' into a Fraction (report and vector-file format)."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be a string, got {s!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

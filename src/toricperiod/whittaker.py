@@ -59,6 +59,7 @@ from .family import (
     evaluate,
     invariance_level,
     tabulate,
+    vector_field,
     vector_prime,
 )
 from .laurent import LaurentPoly
@@ -73,7 +74,7 @@ from .localfield import (
     valuation,
     weyl,
 )
-from .scalars import FieldMismatch, QCyclotomic, QNumeric
+from .scalars import QCyclotomic, QNumeric
 
 
 def shintani_sph(field, k):
@@ -216,28 +217,19 @@ def whittaker_coefficient(f, k, field=None, profile=None):
     big-cell remainder is read off its shell profile.  A caller reading
     many k passes the `big_cell_profile(f)` it has already built.
     """
+    field = vector_field(f, field)
     if isinstance(f, Spherical):
-        if field is None:
-            raise ValueError("a scalar field is required for symbolic vectors")
         return cs_factor_regularized(field) * shintani_sph(field, k)
     if isinstance(f, IwahoriPhiW):
-        if field is None:
-            raise ValueError("a scalar field is required for symbolic vectors")
         if k < 0:
             return LaurentPoly.zero(field)
         return LaurentPoly.monomial(field, field.one, 0, k)
-    p = vector_prime(f)
-    if p is None:
-        raise ValueError("vector carries no residue prime; tabulate it first")
-    numeric = QNumeric(p)
-    if field is not None and field != numeric:
-        raise FieldMismatch(f"vector is tied to {numeric}, not {field}")
     if profile is None:
         profile = big_cell_profile(f)
-    out = profile.identity * cs_factor_regularized(numeric) * shintani_sph(numeric, k)
+    out = profile.identity * cs_factor_regularized(field) * shintani_sph(field, k)
     j = _j_integral(profile, k)
     if not j.is_zero:
-        out = out + LaurentPoly.monomial(numeric, numeric.one, 0, k) * j
+        out = out + LaurentPoly.monomial(field, field.one, 0, k) * j
     return out
 
 

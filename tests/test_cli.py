@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,58 @@ def test_period_bad_documents(tmp_path, capsys):
     partial.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "period", "--input", str(partial))
     assert code == 2 and "missing" in err
+
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set_first_poly(terms):
+    return lambda doc: doc["values"][0].update(poly=terms)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set_first_poly([{"c": 1, "e": [0, 0]}]), id="numeric-coefficient"),
+        pytest.param(_set_first_poly([{"c": "1", "e": [1.5, 0]}]), id="float-exponent"),
+        pytest.param(_set_first_poly([{"c": "1", "e": [True, 0]}]), id="bool-exponent"),
+        pytest.param(lambda doc: doc.update(level=True), id="bool-level"),
+    ],
+)
+def test_period_malformed_terms(tmp_path, capsys, edit):
+    doc = vector_to_json(f0_table(QNumeric(3), 3, 1))
+    edit(doc)
+    code, out, err = run_cli(capsys, "period", "--input", _write_doc(tmp_path, doc))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"prime": 2305843009213693951, "level": 1, "values": []}, id="huge-prime"),
+        pytest.param({"prime": 2, "level": 40, "values": []}, id="deep-level"),
+    ],
+)
+def test_period_oversized_documents_fail_fast(tmp_path, doc):
+    # Run in a child with a timeout and a memory cap, so a regression that
+    # enumerates the classes fails the test instead of exhausting memory.
+    src = str(Path(toricperiod.__file__).resolve().parent.parent)
+    cap = 1 << 30
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricperiod.cli", "period", "--input", _write_doc(tmp_path, doc)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert time.monotonic() - started < 1.0
+    assert proc.returncode == 2
+    assert "missing" in proc.stderr
 
 
 def test_ideal_checks(capsys):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from toricperiod.laurent import (
-    LaurentFraction,
     LaurentPoly,
     NotDivisible,
     TailViolation,
@@ -162,13 +161,6 @@ def test_evaluate_at_over_cyclotomic_field():
 # -- coefficient maps ------------------------------------------------------------
 
 
-def test_specialize_q():
-    f = cs_factor(S)
-    g = f.specialize_q(N3)
-    assert g == cs_factor(N3)
-    assert g.field == N3
-
-
 def test_embed_and_project():
     C = QCyclotomic(3, 2)
     f = cs_factor(N3)
@@ -272,18 +264,3 @@ def test_clear_l_factor_requires_guard_zone():
 def test_eval_z1_sums_all_coefficients():
     w = ZPoly(S, -1, 2, {-1: y1(S), 0: one(S), 2: y2(S)})
     assert w.eval_z1() == y1(S) + one(S) + y2(S)
-
-
-# -- fractions -----------------------------------------------------------------------
-
-
-def test_laurent_fraction():
-    g1 = one(S) - y1(S)
-    g2 = cs_factor(S)
-    fr = LaurentFraction(g1 * g2, g2)
-    assert fr == LaurentFraction(g1, one(S))
-    assert fr == g1
-    assert fr.in_ring() == g1
-    assert LaurentFraction(g1, g2).in_ring() is None
-    with pytest.raises(NotInvertible):
-        LaurentFraction(g1, zero(S))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
 from toricperiod import period
 from toricperiod.groebner import Certificate, MembershipSolver
-from toricperiod.laurent import ZPoly, mono, one, qpow, y1, y2, zero
+from toricperiod.laurent import TailViolation, ZPoly, mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import Mat2, diag
 from toricperiod.period import (
     VerdictMismatch,
@@ -232,3 +232,20 @@ def test_zeta_window_extent():
     assert (w2.k_min, w2.k_max) == (-4, 6)
     assert w2.coefficient(-4).is_zero
     assert w2.coefficient(2) == y2(QNumeric(3), 2)
+
+
+def test_tail_violation_raises_after_one_window(monkeypatch):
+    # The window's coefficients are exact, so a wider window would fail at
+    # the same indices: a nonzero tail raises from the first window.
+    F, n = QNumeric(3), 1
+    calls = []
+    real = period.whittaker_coefficient
+
+    def top_nonzero(f, k, field=None, profile=None):
+        calls.append(k)
+        return one(F) if k == n + 4 else real(f, k, field, profile)
+
+    monkeypatch.setattr(period, "whittaker_coefficient", top_nonzero)
+    with pytest.raises(TailViolation):
+        cleared_window(f0_table(F, 3, n))
+    assert sorted(calls) == list(range(-(n + 2), n + 5))

@@ -21,7 +21,6 @@ from toricperiod.scalars import (
     pmul,
     pstrip,
     pxgcd,
-    specialize_scalar,
 )
 
 RF = RationalFunction
@@ -284,12 +283,6 @@ def test_descriptor_equality_and_coercion():
     assert C.zeta(1) == Cyclotomic.zeta_power(3, 2, 1)
     with pytest.raises(FieldMismatch):
         C.coerce(Cyclotomic.zeta_power(3, 1, 1))
-
-
-def test_specialize_scalar():
-    f = RF((1,)) - RF.q_power(-1)  # 1 - q^{-1}
-    assert specialize_scalar(f, 3) == Fraction(2, 3)
-    assert specialize_scalar(Fraction(5, 2), 3) == Fraction(5, 2)
 
 
 def test_parse_rational():
