@@ -29,12 +29,10 @@ from .period import (
     toric_period,
     verify_image,
 )
-from .scalars import FieldMismatch, NotRational, QCyclotomic, QNumeric, QSymbolic
+from .scalars import FieldMismatch, NotRational, QNumeric, QSymbolic
 from .whittaker import (
     big_cell_profile,
     cs_factor_regularized,
-    lambda_chi,
-    projected_sph,
     shintani_sph,
     whittaker_coefficient,
 )

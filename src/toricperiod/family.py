@@ -111,9 +111,10 @@ def chi_delta_value(field, a1, a2):
 def evaluate(f, g, field):
     """Value of the vector f at the group element g, over the given field.
 
-    Table values and combination coefficients stored over a smaller field
-    are embedded on the fly, so a rational table can be integrated against
-    cyclotomic character weights without being rebuilt.
+    Table values and combination coefficients stored over another field
+    are embedded on the fly (they must be rational), so a table built over
+    QSymbolic is evaluated over QNumeric(p), or the other way round,
+    without being rebuilt.
     """
     if isinstance(f, Spherical):
         fac = iwasawa_decompose(g)

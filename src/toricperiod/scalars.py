@@ -1,19 +1,25 @@
 """Exact coefficient arithmetic underlying the period computations.
 
-Three coefficient fields show up: plain rationals (with the residue field
-size q pinned to a concrete prime), rational functions in a formal variable
-q, and the cyclotomic fields Q(zeta_{p^M}) that hold additive character
-sums before they are projected back down to Q.  A small descriptor object
-names the field a computation lives in; every container in this package
-carries one and refuses to mix scalars from two different descriptors.
+Two coefficient fields show up: plain rationals (with the residue field
+size q pinned to a concrete prime) and rational functions in a formal
+variable q.  A small descriptor object names the field a computation lives
+in; every container in this package carries one and refuses to mix scalars
+from two different descriptors.
 
 No square root of q is ever adjoined.  The half-integral powers of q from
 the classical normalizations are absorbed into the variables themselves
 (see the laurent module), so everything here stays honestly in the field.
+
+`Cyclotomic` holds the values of the additive character in Q(zeta_{p^M})
+with just the arithmetic a character sum needs (sums, products, and the
+rational part of the total).  The engine never forms such a sum, since
+every unit average it uses is in closed form; the character sums are
+there as reference arithmetic that the closed forms are checked against.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -109,24 +115,6 @@ def pgcd(a, b):
         lc_inv = 1 / a[-1]
         a = tuple(x * lc_inv for x in a)
     return a
-
-
-def pxgcd(a, b):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic or zero."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    if r0:
-        lc_inv = 1 / r0[-1]
-        r0 = tuple(x * lc_inv for x in r0)
-        s0 = tuple(x * lc_inv for x in s0)
-        t0 = tuple(x * lc_inv for x in t0)
-    return r0, s0, t0
 
 
 def peval(a, x):
@@ -342,23 +330,12 @@ def _phi_degree(p, m):
     return (p - 1) * p ** (m - 1)
 
 
-def _phi_poly(p, m):
-    """Dense coefficient tuple of the cyclotomic polynomial Phi_{p^m}."""
-    deg = _phi_degree(p, m)
-    step = p ** (m - 1)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for i in range(p):
-        coeffs[i * step] = Fraction(1)
-    return tuple(coeffs)
-
-
 class Cyclotomic:
     """Element of Q(zeta_{p^M}) as a dense vector in the power basis.
 
     Coordinates have length phi(p^M) = (p-1)p^{M-1}; index j is the
-    coefficient of zeta^j.  Reduction mod Phi_{p^M} happens on construction,
-    inversion goes through extended Euclid against Phi_{p^M}, which is
-    irreducible over Q, so every nonzero element is invertible.
+    coefficient of zeta^j.  Products are reduced mod Phi_{p^M} as they are
+    formed, so equal elements have equal coordinates.
     """
 
     __slots__ = ("p", "level", "coords")
@@ -408,16 +385,13 @@ class Cyclotomic:
         e %= p**level
         return cls.from_poly(p, level, (0,) * e + (1,))
 
-    def _check(self, other):
-        if self.p != other.p or self.level != other.level:
-            raise FieldMismatch(
-                f"cyclotomic levels differ: ({self.p},{self.level}) vs "
-                f"({other.p},{other.level})"
-            )
-
     def _coerce(self, x):
         if isinstance(x, Cyclotomic):
-            self._check(x)
+            if x.p != self.p or x.level != self.level:
+                raise FieldMismatch(
+                    f"cyclotomic levels differ: ({self.p},{self.level}) vs "
+                    f"({x.p},{x.level})"
+                )
             return x
         if isinstance(x, (int, Fraction)):
             return Cyclotomic.from_fraction(self.p, self.level, x)
@@ -431,21 +405,6 @@ class Cyclotomic:
                           tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.p, self.level, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -469,54 +428,11 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        poly = pstrip(self.coords)
-        if not poly:
-            raise NotInvertible("inverse of cyclotomic zero")
-        g, s, _ = pxgcd(poly, _phi_poly(self.p, self.level))
-        # Phi_{p^M} is irreducible, so the gcd with any nonzero reduced
-        # element is 1.
-        if g != (Fraction(1),):
-            raise ArithmeticError("cyclotomic modulus not coprime")
-        return Cyclotomic.from_poly(self.p, self.level, s)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Cyclotomic.from_fraction(self.p, self.level, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coords == o.coords
-
-    def __hash__(self):
-        return hash((self.p, self.level, self.coords))
-
-    def __bool__(self):
-        return any(c != 0 for c in self.coords)
 
     def rational_part(self):
         if any(c != 0 for c in self.coords[1:]):
@@ -626,77 +542,21 @@ class QSymbolic:
         return "QSymbolic()"
 
 
-class QCyclotomic:
-    """Q(zeta_{p^M}) with q specialized to the prime p."""
-
-    is_symbolic = False
-    kind = "cyclotomic"
-    __slots__ = ("p", "level")
-
-    def __init__(self, p, level):
-        if not isinstance(p, int) or p < 2:
-            raise ValueError(f"p must be a prime, got {p!r}")
-        if not isinstance(level, int) or level < 1:
-            raise ValueError(f"cyclotomic level must be >= 1, got {level!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "level", level)
-
-    def __setattr__(self, *_):
-        raise AttributeError("field descriptors are immutable")
-
-    @property
-    def q(self):
-        return self.p
-
-    @property
-    def zero(self):
-        return Cyclotomic.from_fraction(self.p, self.level, 0)
-
-    @property
-    def one(self):
-        return Cyclotomic.from_fraction(self.p, self.level, 1)
-
-    def from_fraction(self, fr):
-        return Cyclotomic.from_fraction(self.p, self.level, fr)
-
-    def q_power(self, e):
-        return self.from_fraction(Fraction(self.p) ** e)
-
-    def zeta(self, e):
-        return Cyclotomic.zeta_power(self.p, self.level, e)
-
-    def coerce(self, x):
-        if isinstance(x, Cyclotomic):
-            if x.p != self.p or x.level != self.level:
-                raise FieldMismatch(f"{x!r} does not live in {self}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return self.from_fraction(x)
-        raise FieldMismatch(f"{x!r} is not a scalar of {self}")
-
-    def rational_part(self, x):
-        return self.coerce(x).rational_part()
-
-    def scalar_str(self, x):
-        x = self.coerce(x)
-        return "[" + ", ".join(str(c) for c in x.coords) + "]"
-
-    def __eq__(self, other):
-        return (isinstance(other, QCyclotomic)
-                and other.p == self.p and other.level == self.level)
-
-    def __hash__(self):
-        return hash(("QCyclotomic", self.p, self.level))
-
-    def __repr__(self):
-        return f"QCyclotomic(p={self.p}, M={self.level})"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(s):
-    """Parse 'a' or 'a/b' into a Fraction (report and vector-file format)."""
+    """Parse 'a' or 'a/b' into a Fraction (report and vector-file format).
+
+    Only those integer forms are read: a decimal point, an exponent, a
+    digit separator or surrounding text is refused before any arithmetic,
+    so '1e100000000' costs nothing to reject.
+    """
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {s!r}")
+    if _RATIONAL.fullmatch(s) is None:
+        raise ValueError(f"malformed rational {s!r}")
     try:
-        return Fraction(s.strip())
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {s!r}") from exc

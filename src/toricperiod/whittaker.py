@@ -39,8 +39,8 @@ explicit Iwasawa form, so each S_v is a sum of the class values of f over
 the classes of one valuation, times a torus monomial when v < 0.  That is
 one pass of p^L + p^{L-1} table reads per vector (see `big_cell_profile`).
 
-All of this is rational; character sums over a cyclotomic field remain
-only in the Whittaker functional `lambda_chi` and `projected_sph`.
+All of this is rational: no character value is ever formed, because the
+unit averages are used in closed form.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import (
-    SPH,
     IwahoriPhiW,
-    LinComb,
     Spherical,
     TableVector,
-    Translate,
     big_cell_split,  # noqa: F401  (bound here so perfbench/tracer.py can time the split)
-    evaluate,
+    evaluate,  # noqa: F401  (bound here so perfbench/tracer.py can count evaluations)
     invariance_level,
     tabulate,
     vector_field,
@@ -64,17 +61,13 @@ from .family import (
 )
 from .laurent import LaurentPoly
 from .localfield import (
-    Mat2,
     P1Class,
-    coset_reps,
-    psi_eval,
+    coset_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count cosets)
     shell_character_integral,
-    unipotent,
     unit_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count unit enumeration)
     valuation,
-    weyl,
 )
-from .scalars import QCyclotomic, QNumeric
+from .scalars import QNumeric
 
 
 def shintani_sph(field, k):
@@ -103,14 +96,14 @@ def cs_factor_regularized(field):
     return one + sph_big_cell_value(field, 1).scale(shell_character_integral(-1, field))
 
 
-def _unit_average(p, x):
-    """Average of psi^{-1}(a x) over units a: the normalized Ramanujan sum.
+def _unit_average(p, v):
+    """Average of psi^{-1}(a x) over units a, for x of valuation v.
 
-    It depends only on v(x): 1 when psi is trivial on the orbit, -1/(q-1)
-    when the orbit runs over the nontrivial p-th roots of unity, and 0 once
-    it covers whole cosets of a deeper root of unity.
+    This is the normalized Ramanujan sum, which depends on x only through
+    v: 1 when psi is trivial on the orbit, -1/(q-1) when the orbit runs
+    over the nontrivial p-th roots of unity, and 0 once it covers whole
+    cosets of a deeper root of unity.
     """
-    v = valuation(x, p)
     if v >= 0:
         return Fraction(1)
     if v == -1:
@@ -202,7 +195,7 @@ def _j_integral(profile, k):
         return LaurentPoly.zero(profile.at_weyl.field)
     total = profile.at_weyl
     for v, s in profile.shells.items():
-        weight = _unit_average(p, Fraction(p) ** (k + v))
+        weight = _unit_average(p, k + v)
         if weight:
             total = total + s.scale(weight)
     return total.scale(Fraction(1, p**L))
@@ -231,49 +224,3 @@ def whittaker_coefficient(f, k, field=None, profile=None):
     if not j.is_zero:
         out = out + LaurentPoly.monomial(field, field.one, 0, k) * j
     return out
-
-
-def lambda_chi(f, p=None, level=None):
-    """Whittaker functional: integral of f(w n(u)) psi^{-1}(u) du.
-
-    Requires f to vanish at the identity, which forces the integrand to
-    vanish identically below the truncation depth and makes the finite sum
-    exact.  The accumulation runs in the cyclotomic field of the character
-    values and is projected to rational coefficients at the end.
-    """
-    if p is None:
-        p = vector_prime(f)
-    if p is None:
-        raise ValueError("vector carries no residue prime; pass p explicitly")
-    L = invariance_level(f)
-    if level is None:
-        level = max(1, L - 1)
-    field_c = QCyclotomic(p, level)
-    if not evaluate(f, Mat2.identity(p), field_c).is_zero:
-        raise ValueError("lambda_chi requires a vector vanishing at the identity")
-    w = weyl(p)
-    total = LaurentPoly.zero(field_c)
-    for u in coset_reps(p, -(L - 1), L):
-        f_u = evaluate(f, w * unipotent(p, u), field_c)
-        if not f_u.is_zero:
-            total = total + f_u.scale(psi_eval(-u, p, level))
-    total = total.scale(Fraction(1, p**L))
-    return total.project_rational(QNumeric(p))
-
-
-def projected_sph(p, level=2):
-    """Character-weighted smoothing of the spherical vector, vanishing at 1.
-
-    The combination sum over a of q^{-1} psi^{-1}(a/p) translate-by-n(a/p)
-    keeps the full spherical big-cell profile but kills the identity value,
-    so lambda_chi applies to it; its functional value recovers the
-    regularized spherical constant.
-    """
-    field_c = QCyclotomic(p, level)
-    inv_q = Fraction(1, p)
-    terms = []
-    for a in range(p):
-        weight = psi_eval(Fraction(-a, p), p, level)
-        coeff = LaurentPoly.constant(field_c, weight).scale(inv_q)
-        terms.append((coeff, Translate(unipotent(p, Fraction(a, p)), SPH)))
-    return LinComb(terms)

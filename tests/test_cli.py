@@ -181,21 +181,44 @@ def test_period_malformed_terms(tmp_path, capsys, edit):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def _p2_table(first_poly):
+    rows = [
+        {"class": "[0:1]", "poly": first_poly},
+        {"class": "[1:1]", "poly": [{"c": "1", "e": [0, 0]}]},
+        {"class": "[1:0]", "poly": [{"c": "1", "e": [0, 0]}]},
+    ]
+    return {"prime": 2, "level": 1, "values": rows}
+
+
+# json.dumps refuses an int past the 4300-digit conversion limit, so this
+# document is written as text.
+_LONG_EXPONENT = json.dumps(_p2_table([{"c": "1", "e": [0, 0]}])).replace(
+    '"e": [0, 0]', '"e": [' + "1" * 5000 + ", 0]", 1
+)
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc,fragment",
     [
-        pytest.param({"prime": 2305843009213693951, "level": 1, "values": []}, id="huge-prime"),
-        pytest.param({"prime": 2, "level": 40, "values": []}, id="deep-level"),
+        pytest.param({"prime": 2305843009213693951, "level": 1, "values": []}, "missing",
+                     id="huge-prime"),
+        pytest.param({"prime": 2, "level": 40, "values": []}, "missing", id="deep-level"),
+        pytest.param(_p2_table([{"c": "1e100000000", "e": [0, 0]}]), "malformed rational",
+                     id="huge-exponent-literal"),
+        pytest.param(_LONG_EXPONENT, "not valid JSON", id="overlong-integer"),
     ],
 )
-def test_period_oversized_documents_fail_fast(tmp_path, doc):
+def test_period_oversized_documents_fail_fast(tmp_path, doc, fragment):
     # Run in a child with a timeout and a memory cap, so a regression that
-    # enumerates the classes fails the test instead of exhausting memory.
+    # enumerates the classes or expands a literal fails the test instead of
+    # exhausting memory.
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     src = str(Path(toricperiod.__file__).resolve().parent.parent)
     cap = 1 << 30
     started = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "toricperiod.cli", "period", "--input", _write_doc(tmp_path, doc)],
+        [sys.executable, "-m", "toricperiod.cli", "period", "--input", str(path)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -204,7 +227,8 @@ def test_period_oversized_documents_fail_fast(tmp_path, doc):
     )
     assert time.monotonic() - started < 1.0
     assert proc.returncode == 2
-    assert "missing" in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert fragment in proc.stderr
 
 
 def test_ideal_checks(capsys):

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
-from toricperiod import period
+from toricperiod import period, scalars
+from toricperiod.cli import main
 from toricperiod.groebner import Certificate, MembershipSolver
 from toricperiod.laurent import TailViolation, ZPoly, mono, one, qpow, y1, y2, zero
-from toricperiod.localfield import Mat2, diag
+from toricperiod.localfield import Mat2, diag, psi_eval, unipotent
 from toricperiod.period import (
     VerdictMismatch,
     cleared_window,
@@ -119,6 +120,34 @@ def test_verify_image_on_random_tables(p, n, seed):
     assert report.member
     g1, g2 = image_ideal(QNumeric(p))
     assert report.certificate.holds_for(report.la, g1, g2)
+
+
+def test_pipeline_forms_no_character_value(monkeypatch, capsys):
+    # Every unit average is used in closed form, so no root of unity is ever
+    # built on the way from a vector to its certified report.
+    def refuse(*args, **kwargs):
+        raise AssertionError("cyclotomic arithmetic in the pipeline")
+
+    monkeypatch.setattr(scalars.Cyclotomic, "from_poly", refuse)
+    with pytest.raises(AssertionError):
+        psi_eval(Fraction(1, 3), 3, 1)
+    F = QNumeric(3)
+    vectors = [
+        (random_table(3, 2, seed=31), None),
+        (Translate(unipotent(2, Fraction(1, 2)), random_table(2, 1, seed=32)), None),
+        (LinComb([
+            (mono(F, Fraction(2), 1, -1), random_table(3, 1, seed=33)),
+            (mono(F, Fraction(-1, 3), 0, 2), random_table(3, 2, seed=34)),
+        ]), None),
+        (SPH, S),
+        (PHI_W, S),
+    ]
+    for f, field in vectors:
+        report = verify_image(f, field=field)
+        assert report.member and report.certificate is not None
+    assert main(["identities"]) == 0
+    assert main(["theorem", "--p", "2", "--level", "1", "--trials", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_wrong_solver_verdict_is_caught(monkeypatch):

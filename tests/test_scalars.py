@@ -10,7 +10,6 @@ from toricperiod.scalars import (
     FieldMismatch,
     NotInvertible,
     NotRational,
-    QCyclotomic,
     QNumeric,
     QSymbolic,
     RationalFunction,
@@ -20,7 +19,6 @@ from toricperiod.scalars import (
     pgcd,
     pmul,
     pstrip,
-    pxgcd,
 )
 
 RF = RationalFunction
@@ -79,16 +77,6 @@ def test_pgcd_divides_both():
         if a or b:
             assert not pdivmod(a, d)[1] if a else True
             assert not pdivmod(b, d)[1] if b else True
-
-
-def test_pxgcd_bezout():
-    rng = random.Random(7)
-    for _ in range(100):
-        a, b = rand_poly(rng), rand_poly(rng)
-        if not a and not b:
-            continue
-        g, s, t = pxgcd(a, b)
-        assert padd_(pmul(s, a), pmul(t, b)) == g
 
 
 # -- rational functions -------------------------------------------------------
@@ -223,19 +211,6 @@ def test_cyclotomic_exponent_addition():
         assert lhs == Cyclotomic.zeta_power(p, m, i + j)
 
 
-def test_cyclotomic_inverse():
-    rng = random.Random(17)
-    for _ in range(150):
-        p, m = rng.choice([(2, 2), (3, 1), (3, 2), (5, 1)])
-        x = rand_cyclo(rng, p, m)
-        if not x:
-            continue
-        assert x * x.inverse() == 1
-        assert (1 / x) * x == 1
-    with pytest.raises(NotInvertible):
-        Cyclotomic.from_fraction(3, 2, 0).inverse()
-
-
 def test_cyclotomic_field_axioms():
     rng = random.Random(29)
     for _ in range(1000):
@@ -270,7 +245,6 @@ def test_descriptor_equality_and_coercion():
     assert QNumeric(3) == QNumeric(3)
     assert QNumeric(3) != QNumeric(5)
     assert QSymbolic() == QSymbolic()
-    assert QCyclotomic(3, 2) != QCyclotomic(3, 1)
     F = QNumeric(5)
     assert F.q_power(-1) == Fraction(1, 5)
     assert F.coerce(2) == Fraction(2)
@@ -278,11 +252,8 @@ def test_descriptor_equality_and_coercion():
         F.coerce(RationalFunction((1,)))
     S = QSymbolic()
     assert S.q_power(2) == RF((0, 0, 1))
-    C = QCyclotomic(3, 2)
-    assert C.q_power(1) == Cyclotomic.from_fraction(3, 2, 3)
-    assert C.zeta(1) == Cyclotomic.zeta_power(3, 2, 1)
     with pytest.raises(FieldMismatch):
-        C.coerce(Cyclotomic.zeta_power(3, 1, 1))
+        S.coerce(0.5)  # no floats, ever
 
 
 def test_parse_rational():
@@ -292,3 +263,8 @@ def test_parse_rational():
         parse_rational("3/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+    # only the integer forms 'a' and 'a/b': no decimals, exponents, digit
+    # separators, signs on the denominator or padding
+    for bad in ("1.5", "1e100000000", "1_0", "3/-2", "+3", " 3", "3/", "/2", "", "٣"):
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(bad)

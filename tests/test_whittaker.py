@@ -27,14 +27,12 @@ from toricperiod.localfield import (
     valuation,
     weyl,
 )
-from toricperiod.scalars import FieldMismatch, QCyclotomic, QNumeric, QSymbolic
+from toricperiod.scalars import FieldMismatch, QNumeric, QSymbolic
 from toricperiod.whittaker import (
     BigCellProfile,
     _unit_average,
     big_cell_profile,
     cs_factor_regularized,
-    lambda_chi,
-    projected_sph,
     shintani_sph,
     sph_big_cell_value,
     whittaker_coefficient,
@@ -98,20 +96,21 @@ def test_unit_average_matches_direct_sum():
                         start=psi_eval(Fraction(0), p, level) * 0,
                     )
                     assert direct == direct.rational_part()
-                    assert direct.rational_part() == _unit_average(p, x) * len(units)
+                    average = _unit_average(p, valuation(x, p))
+                    assert direct.rational_part() == average * len(units)
 
 
 def test_unit_average_closed_form():
     # the average depends only on the valuation: 1, then -1/(q-1), then 0
     for p in (2, 3, 5):
-        assert _unit_average(p, Fraction(7)) == 1
-        assert _unit_average(p, Fraction(0)) == 1
-        assert _unit_average(p, Fraction(p, 7)) == 1
-        got = _unit_average(p, Fraction(3, p) if p != 3 else Fraction(2, 3))
-        assert got == Fraction(-1, p - 1)
-        assert _unit_average(p, Fraction(1, p * p)) == 0
-        assert _unit_average(p, Fraction(2, p**3)) == 0
-        assert isinstance(_unit_average(p, Fraction(1, p)), Fraction)
+        assert _unit_average(p, valuation(Fraction(7), p)) == 1
+        assert _unit_average(p, valuation(Fraction(0), p)) == 1
+        assert _unit_average(p, valuation(Fraction(p, 7), p)) == 1
+        x = Fraction(3, p) if p != 3 else Fraction(2, 3)
+        assert _unit_average(p, valuation(x, p)) == Fraction(-1, p - 1)
+        assert _unit_average(p, valuation(Fraction(1, p * p), p)) == 0
+        assert _unit_average(p, valuation(Fraction(2, p**3), p)) == 0
+        assert isinstance(_unit_average(p, -1), Fraction)
 
 
 # -- coefficients against honest enumeration -----------------------------------------
@@ -327,37 +326,3 @@ def test_field_mismatch_guard():
     f = random_table(3, 1, seed=3)
     with pytest.raises(FieldMismatch):
         whittaker_coefficient(f, 0, QNumeric(5))
-
-
-# -- the Whittaker functional ---------------------------------------------------------
-
-
-def test_lambda_of_iwahori_vector():
-    for p in (2, 3, 5):
-        assert lambda_chi(PHI_W, p=p) == one(QNumeric(p))
-        F = QNumeric(p)
-        assert lambda_chi(f0_table(F, p, 1)) == one(F)
-    assert lambda_chi(f0_table(QNumeric(3), 3, 2)) == one(QNumeric(3))
-
-
-def test_lambda_requires_vanishing_identity_value():
-    with pytest.raises(ValueError):
-        lambda_chi(sph_table(QNumeric(3), 3, 1))
-    with pytest.raises(ValueError):
-        lambda_chi(SPH, p=3)
-
-
-def test_projected_sph_values():
-    for p in (2, 3):
-        field_c = QCyclotomic(p, 2)
-        N = QNumeric(p)
-        f = projected_sph(p)
-        assert evaluate(f, Mat2.identity(p), field_c).is_zero
-        at_w = evaluate(f, weyl(p), field_c).project_rational(N)
-        assert at_w == cs_factor_regularized(N).scale(Fraction(1, p))
-
-
-def test_lambda_of_projected_sph_recovers_cs():
-    for p in (2, 3, 5):
-        got = lambda_chi(projected_sph(p))
-        assert got == cs_factor_regularized(QNumeric(p))
