@@ -96,6 +96,16 @@ def _zpoly_display(window, disp):
 # -- identities ----------------------------------------------------------------------
 
 
+def _period_check(name, label, vec, want, field, disp):
+    """A marker's period against its expected value and its cleared zeta window."""
+    got = toric_period(vec, field)
+    window = cleared_window(vec, field).eval_z1()
+    complaint = f"expected {disp(want)}, got {disp(got)}"
+    if window != got:
+        complaint += f", cleared window gives {disp(window)}"
+    return name, got == want == window, f"l({label}) = {disp(got)}", complaint
+
+
 def _identity_checks(disp, sabotage):
     field = QSymbolic()
     unit = one(field)
@@ -105,22 +115,8 @@ def _identity_checks(disp, sabotage):
     if sabotage:
         expected_sph = unit + qpow(field, -1) * y1(field) * y2(field, -1)
 
-    got_sph = toric_period(SPH, field)
-    yield (
-        "spherical-period",
-        got_sph == expected_sph,
-        f"l(sph) = {disp(got_sph)}",
-        f"expected {disp(expected_sph)}, got {disp(got_sph)}",
-    )
-
-    got_f0 = toric_period(PHI_W, field)
-    want_f0 = unit - y1(field)
-    yield (
-        "iwahori-period",
-        got_f0 == want_f0,
-        f"l(f0) = {disp(got_f0)}",
-        f"expected {disp(want_f0)}, got {disp(got_f0)}",
-    )
+    yield _period_check("spherical-period", "sph", SPH, expected_sph, field, disp)
+    yield _period_check("iwahori-period", "f0", PHI_W, unit - y1(field), field, disp)
 
     window = cleared_window(PHI_W, field)
     want_window = ZPoly(field, 0, 1, {0: unit, 1: -y1(field)})

@@ -167,17 +167,23 @@ def invariance_level(f):
 
 
 def vector_prime(f):
-    """The residue prime a vector is tied to, or None for symbolic markers."""
+    """The residue prime a vector is tied to, or None for symbolic markers.
+
+    A translate or combination whose parts are tied to different primes
+    raises FieldMismatch.
+    """
     if isinstance(f, TableVector):
         return f.p
     if isinstance(f, Translate):
-        return f.by.p
-    if isinstance(f, LinComb):
-        for _, vec in f.terms:
-            p = vector_prime(vec)
-            if p is not None:
-                return p
-    return None
+        primes = {f.by.p, vector_prime(f.inner)}
+    elif isinstance(f, LinComb):
+        primes = {vector_prime(vec) for _, vec in f.terms}
+    else:
+        return None
+    primes.discard(None)
+    if len(primes) > 1:
+        raise FieldMismatch(f"vector mixes the primes {sorted(primes)}")
+    return primes.pop() if primes else None
 
 
 def vector_field(f, field=None):

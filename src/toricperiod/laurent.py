@@ -466,8 +466,3 @@ class ZPoly:
     def __repr__(self):
         body = ", ".join(f"Z^{k}: {v}" for k, v in sorted(self.coeffs.items()))
         return f"ZPoly[{self.k_min}, {self.k_max}]({body})"
-
-    def to_json(self):
-        return [
-            {"k": k, "coef": v.to_json_terms()} for k, v in sorted(self.coeffs.items())
-        ]

@@ -1,25 +1,26 @@
 """The toric period of a family vector, and its ideal-membership report.
 
-The period is assembled from Whittaker coefficients through the zeta
-integral in an auxiliary variable Z,
+The period is defined through the zeta integral in an auxiliary variable Z,
 
     I(f, Z) = sum over k of c_k(f) Z^k,
 
-which is a rational series with denominator dividing (1 - Y1 Z)(1 - Y2 Z):
-past the invariance level the coefficients ride the spherical recurrence,
-below the vanishing tail they are zero.  Multiplying by that denominator
-inside an exact finite window therefore yields an honest polynomial in Z,
-with the window's guard zone certifying that nothing was truncated.  The
-period is the value at Z = 1, which sits at the unramified twist point.
+a rational series with denominator dividing (1 - Y1 Z)(1 - Y2 Z): l(f) is
+the cleared polynomial (1 - Y1 Z)(1 - Y2 Z) I(f, Z) at Z = 1, which sits at
+the unramified twist point.  With c_k = f(1) g2 h_k + Y2^k J_k, the
+spherical half clears to f(1) g2, and (1 - Y2 Z) telescopes the big-cell
+half to the steps D_k of `whittaker`, so
 
-Every period lands in the ideal generated by
+    l(f) = f(1) * g2 + g1 * U(f),    U(f) = sum over k of Y2^k D_k,
 
-    1 - Y1    and    1 - q^{-1} Y1 Y2^{-1},
+with g1 = 1 - Y1 and g2 = 1 - q^{-1} Y1 Y2^{-1}.  `toric_period` evaluates
+this closed form, and it puts every period in the ideal (g1, g2);
+`verify_image` certifies that membership for a given vector.  The
+spherical vector's own period is g2; dividing by it normalizes periods
+against the spherical line.
 
-and `verify_image` produces the certified membership report for a given
-vector.  The spherical vector's own period is the regularized constant
-1 - q^{-1} Y1 Y2^{-1}; dividing by it normalizes periods against the
-spherical line.
+`zeta_window` and `cleared_window` keep the definition as the reference
+route: an exact finite window of I(f, Z), cleared, with a guard zone
+certifying that nothing was truncated.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 from .family import invariance_level, vector_field, vector_prime
 from .groebner import Certificate, laurent_membership
 from .laurent import LaurentPoly, NotDivisible, ZPoly, one, qpow, y1, y2
-from .whittaker import big_cell_profile, cs_factor_regularized, whittaker_coefficient
+from .whittaker import big_cell_profile, period_parts, whittaker_coefficient
 
 
 class VerdictMismatch(ArithmeticError):
@@ -66,8 +67,10 @@ def cleared_window(f, field=None):
 
 
 def toric_period(f, field=None):
-    """The period l(f): the cleared zeta polynomial evaluated at Z = 1."""
-    return cleared_window(f, field).eval_z1()
+    """The period l(f) = f(1) * g2 + g1 * U(f), built without a window."""
+    identity, u = period_parts(f, field)
+    g1, g2 = image_ideal(identity.field)
+    return identity * g2 + g1 * u
 
 
 def spherical_ratio(f, field=None):
@@ -78,7 +81,7 @@ def spherical_ratio(f, field=None):
     """
     la = toric_period(f, field)
     try:
-        return la.divide_exact(cs_factor_regularized(la.field))
+        return la.divide_exact(image_ideal(la.field)[1])
     except NotDivisible:
         return None
 

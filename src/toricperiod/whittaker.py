@@ -27,12 +27,17 @@ below, so it depends on u only through v(u).  Every J_k therefore follows
 from the value F0 = f_w(w) on the zero class and the shell sums S_v of
 f_w(w n(u)) over representatives with v(u) = v:
 
-    J_k = q^{-L} * (F0 + sum over v >= -k of S_v - S_{-k-1} / (q - 1)),   k >= -L,
-    J_k = 0,                                                             k < -L.
+    J_k = q^{-L} * (F0 + sum over v >= -k of S_v - S_{-k-1} / (q - 1))
 
-Below -L the zero class cancels itself: inside p^L Z_p the ball p^{-k} Z_p
+for k >= -L.  Below -L, J_k vanishes: inside p^L Z_p the ball p^{-k} Z_p
 carries weight 1, and the shell v = -k-1, of (q - 1) times its volume,
-carries weight -1/(q-1).
+weight -1/(q-1).  From L - 1 on it is constant, so J_k is the prefix sum
+over j <= k of the steps
+
+    D_{-L} = q^{-L} * (F0 - S_{L-1} / (q - 1)),
+    D_k    = q^{-L} * (q * S_{-k} - S_{-k-1}) / (q - 1),   -L < k < L,
+
+which also give the period (see `period_parts`).
 
 F0 and the S_v are read without forming a group element: w n(u) has an
 explicit Iwasawa form, so each S_v is a sum of the class values of f over
@@ -94,21 +99,6 @@ def cs_factor_regularized(field):
     """
     one = LaurentPoly.one(field)
     return one + sph_big_cell_value(field, 1).scale(shell_character_integral(-1, field))
-
-
-def _unit_average(p, v):
-    """Average of psi^{-1}(a x) over units a, for x of valuation v.
-
-    This is the normalized Ramanujan sum, which depends on x only through
-    v: 1 when psi is trivial on the orbit, -1/(q-1) when the orbit runs
-    over the nontrivial p-th roots of unity, and 0 once it covers whole
-    cosets of a deeper root of unity.
-    """
-    if v >= 0:
-        return Fraction(1)
-    if v == -1:
-        return Fraction(-1, p - 1)
-    return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -176,29 +166,33 @@ def big_cell_profile(f):
     return BigCellProfile(p, L, identity, at_weyl, shells)
 
 
-def _j_integral(profile, k):
-    """Exact value of J_k(f_w) from the shell sums of its big-cell profile.
-
-    A representative u of valuation v < L stands for the coset u + p^L Z_p,
-    on which v(u) and hence the unit average of psi^{-1}(a p^k u) is
-    constant, so
-
-        J_k = q^{-L} * (F0 + sum over v >= -k of S_v - S_{-k-1} / (q - 1))
-
-    for k >= -L.  The zero class is the whole ball p^L Z_p: for k >= -L it
-    lies in the kernel of psi^{-1}(a p^k .) and carries weight 1.  For
-    k < -L its own shells cancel, 1 + (q-1) * (-1/(q-1)) = 0, and every
-    other shell averages to 0, so J_k vanishes.
-    """
+def _steps(profile):
+    """The nonzero steps D_k = J_k - J_{k-1} of the profile, keyed by k."""
     p, L = profile.p, profile.level
-    if k < -L:
-        return LaurentPoly.zero(profile.at_weyl.field)
-    total = profile.at_weyl
-    for v, s in profile.shells.items():
-        weight = _unit_average(p, k + v)
-        if weight:
-            total = total + s.scale(weight)
-    return total.scale(Fraction(1, p**L))
+    zero = LaurentPoly.zero(profile.at_weyl.field)
+    shells = profile.shells
+    steps = {-L: profile.at_weyl.scale(p - 1) - shells.get(L - 1, zero)}
+    for k in range(1 - L, L):
+        steps[k] = shells.get(-k, zero).scale(p) - shells.get(-k - 1, zero)
+    weight = Fraction(1, p**L * (p - 1))
+    return {k: d.scale(weight) for k, d in steps.items() if not d.is_zero}
+
+
+def period_parts(f, field=None):
+    """(f(1), U(f)) with U(f) = sum of Y2^k D_k, so l(f) = f(1) * g2 + g1 * U(f).
+
+    The spherical marker gives (1, 0) and the Iwahori marker (0, 1).
+    """
+    field = vector_field(f, field)
+    if isinstance(f, Spherical):
+        return LaurentPoly.one(field), LaurentPoly.zero(field)
+    if isinstance(f, IwahoriPhiW):
+        return LaurentPoly.zero(field), LaurentPoly.one(field)
+    profile = big_cell_profile(f)
+    u = LaurentPoly.zero(field)
+    for k, d in _steps(profile).items():
+        u = u + LaurentPoly.monomial(field, field.one, 0, k) * d
+    return profile.identity, u
 
 
 def whittaker_coefficient(f, k, field=None, profile=None):
@@ -206,9 +200,9 @@ def whittaker_coefficient(f, k, field=None, profile=None):
 
     Symbolic markers use their closed forms over the supplied field.  Table
     vectors, translates, and combinations are integrated at the prime they
-    are tied to: the identity value rides the spherical closed form and the
-    big-cell remainder is read off its shell profile.  A caller reading
-    many k passes the `big_cell_profile(f)` it has already built.
+    are tied to: the identity value rides the spherical closed form and J_k
+    is the prefix sum of the profile's steps.  A caller reading many k
+    passes the `big_cell_profile(f)` it has already built.
     """
     field = vector_field(f, field)
     if isinstance(f, Spherical):
@@ -220,7 +214,7 @@ def whittaker_coefficient(f, k, field=None, profile=None):
     if profile is None:
         profile = big_cell_profile(f)
     out = profile.identity * cs_factor_regularized(field) * shintani_sph(field, k)
-    j = _j_integral(profile, k)
+    j = sum((d for i, d in _steps(profile).items() if i <= k), LaurentPoly.zero(field))
     if not j.is_zero:
         out = out + LaurentPoly.monomial(field, field.one, 0, k) * j
     return out

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import toricperiod
+from toricperiod import cli
 from toricperiod.cli import main
 from toricperiod.family import f0_table, vector_to_json
+from toricperiod.laurent import ZPoly, one
 from toricperiod.scalars import QNumeric
 
 
@@ -41,6 +43,18 @@ def test_identities_sabotage_fails(capsys):
     assert code == 1
     assert "FAIL spherical-period" in out
     assert out.count("FAIL") == 1
+
+
+def test_identities_check_periods_against_window(monkeypatch, capsys):
+    # the marker periods are closed forms, so each is also held against its
+    # cleared zeta window; a window that disagrees fails both checks
+    monkeypatch.setattr(
+        cli, "cleared_window", lambda vec, field=None: ZPoly(field, 0, 0, {0: one(field)})
+    )
+    code, out, _ = run_cli(capsys, "identities")
+    assert code == 1
+    assert "FAIL spherical-period" in out and "FAIL iwahori-period" in out
+    assert out.count("cleared window gives 1") == 2
 
 
 def test_identities_out_file(tmp_path, capsys):

@@ -20,8 +20,8 @@ from toricperiod.period import (
     verify_image,
     zeta_window,
 )
-from toricperiod.scalars import QNumeric, QSymbolic
-from toricperiod.whittaker import cs_factor_regularized
+from toricperiod.scalars import FieldMismatch, QNumeric, QSymbolic
+from toricperiod.whittaker import cs_factor_regularized, period_parts
 
 S = QSymbolic()
 
@@ -55,6 +55,57 @@ def test_table_vectors_reproduce_marker_periods():
 def test_symbolic_markers_require_field():
     with pytest.raises(ValueError):
         toric_period(SPH)
+
+
+def test_marker_period_parts():
+    # l(f) = f(1) g2 + g1 U(f): the spherical vector is (1, 0), the Iwahori one (0, 1)
+    assert period_parts(SPH, S) == (one(S), zero(S))
+    assert period_parts(PHI_W, S) == (zero(S), one(S))
+
+
+def test_mixed_primes_raise_field_mismatch():
+    F2, F3 = QNumeric(2), QNumeric(3)
+    combo = LinComb([(one(F2), random_table(2, 1, seed=1)), (one(F3), random_table(3, 1, seed=2))])
+    with pytest.raises(FieldMismatch):
+        toric_period(combo)
+    translate = Translate(unipotent(3, Fraction(1, 3)), random_table(2, 1, seed=1))
+    with pytest.raises(FieldMismatch):
+        toric_period(translate)
+
+
+GRID = st.sampled_from([(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(GRID, st.integers(0, 10**6))
+def test_closed_form_period_matches_cleared_window(shape, seed):
+    # the reference route: 2n+7 window coefficients, cleared and summed at Z = 1
+    p, n = shape
+    f = random_table(p, n, seed=seed)
+    assert toric_period(f) == cleared_window(f).eval_z1()
+
+
+def test_pipeline_builds_no_window(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("zeta window built")
+
+    monkeypatch.setattr(period, "whittaker_coefficient", refuse)
+    monkeypatch.setattr(ZPoly, "clear_l_factor", refuse)
+    F = QNumeric(3)
+    vectors = [
+        (random_table(3, 2, seed=35), None),
+        (Translate(unipotent(2, Fraction(1, 2)), random_table(2, 1, seed=36)), None),
+        (LinComb([
+            (mono(F, Fraction(2), 1, -1), random_table(3, 1, seed=37)),
+            (mono(F, Fraction(-1, 3), 0, 2), random_table(3, 2, seed=38)),
+        ]), None),
+        (SPH, S),
+        (PHI_W, S),
+    ]
+    for f, field in vectors:
+        assert verify_image(f, field=field).member
+    assert main(["theorem", "--p", "2", "--level", "1", "--trials", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 # -- normalization against the spherical line ---------------------------------------

@@ -27,10 +27,10 @@ from toricperiod.localfield import (
     valuation,
     weyl,
 )
+from toricperiod.period import toric_period
 from toricperiod.scalars import FieldMismatch, QNumeric, QSymbolic
 from toricperiod.whittaker import (
     BigCellProfile,
-    _unit_average,
     big_cell_profile,
     cs_factor_regularized,
     shintani_sph,
@@ -76,41 +76,6 @@ def test_cs_factor():
     N = QNumeric(3)
     assert cs_factor_regularized(N) == one(N) - qpow(N, -1) * y1(N) * y2(N, -1)
     assert cs_factor_regularized(S).to_x_display() == "1 - q^(-1)·X1·X2^(-1)"
-
-
-# -- unit averages ---------------------------------------------------------------
-
-
-def test_unit_average_matches_direct_sum():
-    # the closed form against the character sum over units mod p^depth, for
-    # every depth that resolves the argument
-    for p in (2, 3):
-        for num in (1, 2, 5, -3):
-            for e in (-3, -2, -1, 0, 1):
-                x = Fraction(num) * Fraction(p) ** e
-                level = max(1, -e)
-                for depth in (level, level + 1):
-                    units = unit_reps(p, depth)
-                    direct = sum(
-                        (psi_eval(-a * x, p, level) for a in units),
-                        start=psi_eval(Fraction(0), p, level) * 0,
-                    )
-                    assert direct == direct.rational_part()
-                    average = _unit_average(p, valuation(x, p))
-                    assert direct.rational_part() == average * len(units)
-
-
-def test_unit_average_closed_form():
-    # the average depends only on the valuation: 1, then -1/(q-1), then 0
-    for p in (2, 3, 5):
-        assert _unit_average(p, valuation(Fraction(7), p)) == 1
-        assert _unit_average(p, valuation(Fraction(0), p)) == 1
-        assert _unit_average(p, valuation(Fraction(p, 7), p)) == 1
-        x = Fraction(3, p) if p != 3 else Fraction(2, 3)
-        assert _unit_average(p, valuation(x, p)) == Fraction(-1, p - 1)
-        assert _unit_average(p, valuation(Fraction(1, p * p), p)) == 0
-        assert _unit_average(p, valuation(Fraction(2, p**3), p)) == 0
-        assert isinstance(_unit_average(p, -1), Fraction)
 
 
 # -- coefficients against honest enumeration -----------------------------------------
@@ -188,8 +153,13 @@ def test_coefficients_match_enumeration(kind, p, n):
         f = LinComb([(mono(F, Fraction(2), 1, -1), f), (mono(F, Fraction(-1, 3), 0, 2), g)])
     L = invariance_level(f)
     values = {}
+    brute = {}
     for k in range(-(L + 2), L + 5):
-        assert whittaker_coefficient(f, k) == brute_coefficient(f, p, k, values), k
+        brute[k] = brute_coefficient(f, p, k, values)
+        assert whittaker_coefficient(f, k) == brute[k], k
+    # the brute window, cleared and summed, is the closed-form period
+    window = ZPoly(QNumeric(p), -(L + 2), L + 4, brute)
+    assert window.clear_l_factor(L + 2).eval_z1() == toric_period(f)
 
 
 # -- the big-cell profile against per-coset evaluation ---------------------------------
