@@ -18,12 +18,14 @@ u1*g1 + u2*g2 = h, and the equation is re-expanded and checked before the
 certificate is returned.  A nonzero normal form against a completed basis
 is a proof of non-membership, so both answers are certified.
 
-Reduction (normal forms and s-polynomials alike) runs in place on plain
-term dicts for the working polynomial and for each cofactor, so a step
-costs the size of the basis element it subtracts, not the size of
-everything reduced so far.  The leading-term choice and the divisor order
-are fixed (grevlex maximum, first divisor in basis order), so with
-canonical scalars the certificates do not depend on that bookkeeping.
+Polynomials in k[Y1, Y2, u] are plain term dicts {(a, b, c): scalar} with
+no zero values, and each basis entry is a pair (poly, reps) of such dicts
+with poly == sum(reps[i] * gens[i]).  Reduction (normal forms and
+s-polynomials alike) runs in place on the working polynomial and on each
+cofactor, so a step costs the size of the basis element it subtracts, not
+the size of everything reduced so far.  The leading-term choice and the
+divisor order are fixed (grevlex maximum, first divisor in basis order), so
+with canonical scalars the certificates do not depend on that bookkeeping.
 """
 
 from __future__ import annotations
@@ -47,125 +49,31 @@ def _divides(a, b):
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
-class Poly3:
-    """Sparse polynomial in k[Y1, Y2, u] with exponent-triple keys."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms):
-        clean = {}
-        for e, c in terms.items():
-            c = field.coerce(c)
-            if c != field.zero:
-                clean[e] = c
-        self.field = field
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, {})
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, {(0, 0, 0): c})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        items = sorted(self.terms, key=_grevlex3, reverse=True)
-        body = " + ".join(
-            f"{self.field.scalar_str(self.terms[e])}*Y1^{e[0]}*Y2^{e[1]}*u^{e[2]}"
-            for e in items
-        )
-        return f"Poly3({body or '0'})"
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        zero = self.field.zero
-        for e, c in other.terms.items():
-            s = out.get(e, zero) + c
-            if s == zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly3(self.field, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        zero = self.field.zero
-        for e, c in other.terms.items():
-            s = out.get(e, zero) - c
-            if s == zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly3(self.field, out)
-
-    def __mul__(self, other):
-        zero = self.field.zero
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                s = out.get(key, zero) + ca * cb
-                if s == zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Poly3(self.field, out)
-
-    def scale(self, c):
-        return Poly3(self.field, {e: v * c for e, v in self.terms.items()})
-
-    def leading(self):
-        e = max(self.terms, key=_grevlex3)
-        return e, self.terms[e]
-
-    def substitute_u(self):
-        """Image under u -> (Y1*Y2)^{-1}, as a Laurent polynomial."""
-        out = {}
-        for (a, b, c), v in self.terms.items():
-            key = (a - c, b - c)
-            out[key] = out[key] + v if key in out else v
-        return LaurentPoly(self.field, out)
+def _leading(terms):
+    """The grevlex-largest exponent of a nonempty term dict, with its coefficient."""
+    e = max(terms, key=_grevlex3)
+    return e, terms[e]
 
 
-class TrackedPoly:
-    """A Poly3 carried together with its expression in the original generators.
-
-    The invariant poly == sum(reps[i] * gens[i]) is maintained through every
-    arithmetic step of the basis computation.
-    """
-
-    __slots__ = ("poly", "reps")
-
-    def __init__(self, poly, reps):
-        self.poly = poly
-        self.reps = reps
-
-    def scale(self, c):
-        return TrackedPoly(self.poly.scale(c), tuple(r.scale(c) for r in self.reps))
+def _substitute_u(field, terms):
+    """Image of a term dict under u -> (Y1*Y2)^{-1}, as a Laurent polynomial."""
+    out = {}
+    for (a, b, c), v in terms.items():
+        key = (a - c, b - c)
+        out[key] = out[key] + v if key in out else v
+    return LaurentPoly(field, out)
 
 
-def _sub_multiple(work, reps, c, shift, t):
-    """work -= c * x^shift * t.poly and reps[i] -= c * x^shift * t.reps[i].
+def _sub_multiple(work, reps, c, shift, entry):
+    """work -= c * x^shift * poly and reps[i] -= c * x^shift * entry_reps[i].
 
-    work and reps are plain term dicts, updated in place; cancelled terms
-    are dropped.
+    entry is a basis pair (poly, entry_reps); work and reps are term dicts,
+    updated in place, and cancelled terms are dropped.
     """
     s0, s1, s2 = shift
-    for dst, src in zip((work, *reps), (t.poly, *t.reps)):
-        for (a, b, u), v in src.terms.items():
+    poly, entry_reps = entry
+    for dst, src in zip((work, *reps), (poly, *entry_reps)):
+        for (a, b, u), v in src.items():
             key = (a + s0, b + s1, u + s2)
             if key in dst:
                 left = dst[key] - v * c
@@ -177,94 +85,86 @@ def _sub_multiple(work, reps, c, shift, t):
                 dst[key] = -(v * c)
 
 
-def _tracked(field, work, reps):
-    return TrackedPoly(Poly3(field, work), tuple(Poly3(field, r) for r in reps))
+def _tracked_nf(poly, reps, basis):
+    """Fully reduce poly against basis, preserving the tracking identity.
 
+    Returns (remainder, reps) as fresh term dicts; the inputs are not
+    touched.  Every subtraction applied to the polynomial is mirrored on the
+    reps, so whatever identity (poly, reps) satisfied on entry (for
+    s-polynomials, the basis invariant poly == sum(reps[i] * gens[i]); for a
+    membership query seeded with empty reps, input == remainder -
+    sum(reps[i] * gens[i])) still holds on exit.  The remainder has no term
+    divisible by any basis leading term.
 
-def _tracked_nf(target, basis):
-    """Fully reduce target against basis, preserving the tracking identity.
-
-    Every subtraction applied to target.poly is mirrored on target.reps, so
-    whatever identity target satisfied on entry (for s-polynomials, the basis
-    invariant; for a membership query seeded with zero reps, the identity
-    input = result.poly - sum(result.reps[i] * gens[i])) still holds on exit.
-    The returned remainder has no term divisible by any basis leading term.
-
-    The reduction runs in place on plain term dicts, one for the working
-    polynomial and one per rep, which are wrapped as Poly3 once at the end.
     Each step takes the grevlex-largest term of the working polynomial and
     the first basis element, in basis order, whose leading monomial divides
     it, so the remainder and the reps do not depend on how the dicts are kept.
     """
-    field = target.poly.field
-    work = dict(target.poly.terms)
-    reps = [dict(r.terms) for r in target.reps]
+    work = dict(poly)
+    reps = tuple(dict(r) for r in reps)
     rem = {}
-    lts = [(t.poly.leading(), t) for t in basis]
+    lts = [(_leading(entry[0]), entry) for entry in basis]
     while work:
         e = max(work, key=_grevlex3)
         c = work[e]
-        for (lm, lc), t in lts:
+        for (lm, lc), entry in lts:
             if _divides(lm, e):
                 shift = (e[0] - lm[0], e[1] - lm[1], e[2] - lm[2])
-                _sub_multiple(work, reps, c / lc, shift, t)
+                _sub_multiple(work, reps, c / lc, shift, entry)
                 break
         else:
             rem[e] = work.pop(e)
-    return _tracked(field, rem, reps)
+    return rem, reps
 
 
-def _spoly(f, g):
-    (ef, cf), (eg, cg) = f.poly.leading(), g.poly.leading()
+def _spoly(f, g, one):
+    (ef, cf), (eg, cg) = _leading(f[0]), _leading(g[0])
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    one = f.poly.field.one
     work = {}
-    reps = [{} for _ in f.reps]
+    reps = tuple({} for _ in f[1])
     _sub_multiple(work, reps, -(one / cf), tuple(l - a for l, a in zip(lcm, ef)), f)
     _sub_multiple(work, reps, one / cg, tuple(l - a for l, a in zip(lcm, eg)), g)
-    return _tracked(f.poly.field, work, reps)
+    return work, reps
 
 
-def _buchberger(gens):
+def _buchberger(gens, one):
     """Reduced Grobner basis of <gens> with cofactor tracking.
 
-    Pairs whose leading monomials are coprime are skipped (their s-polynomial
-    always reduces to zero), and the surviving basis is minimalized, tail
-    reduced, and made monic, so normal forms against it are canonical.
+    gens are term dicts over a field whose unit scalar is one.  Each basis
+    entry is a pair (poly, reps) of term dicts with poly == sum(reps[i] *
+    gens[i]).  Pairs whose leading monomials are coprime are skipped (their
+    s-polynomial always reduces to zero), and the surviving basis is
+    minimalized, tail reduced, and made monic, so normal forms against it
+    are canonical.
     """
-    field = gens[0].field
     n = len(gens)
     basis = []
     for i, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        reps = tuple(
-            Poly3.constant(field, field.one) if j == i else Poly3.zero(field) for j in range(n)
-        )
-        basis.append(TrackedPoly(g, reps))
+        if g:
+            basis.append((g, tuple({(0, 0, 0): one} if j == i else {} for j in range(n))))
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         def pair_key(ij):
-            a = basis[ij[0]].poly.leading()[0]
-            b = basis[ij[1]].poly.leading()[0]
+            a = _leading(basis[ij[0]][0])[0]
+            b = _leading(basis[ij[1]][0])[0]
             return _grevlex3(tuple(max(x, y) for x, y in zip(a, b)))
 
         i, j = min(pairs, key=pair_key)
         pairs.remove((i, j))
-        ea = basis[i].poly.leading()[0]
-        eb = basis[j].poly.leading()[0]
+        ea = _leading(basis[i][0])[0]
+        eb = _leading(basis[j][0])[0]
         if all(min(x, y) == 0 for x, y in zip(ea, eb)):
             continue
-        r = _tracked_nf(_spoly(basis[i], basis[j]), basis)
-        if not r.poly.is_zero:
+        r = _tracked_nf(*_spoly(basis[i], basis[j], one), basis)
+        if r[0]:
             basis.append(r)
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
 
     keep = []
     for i, t in enumerate(basis):
-        lm = t.poly.leading()[0]
+        lm = _leading(t[0])[0]
         others = (
-            basis[j].poly.leading()[0]
+            _leading(basis[j][0])[0]
             for j in range(len(basis))
             if j != i and basis[j] is not None
         )
@@ -273,24 +173,30 @@ def _buchberger(gens):
         else:
             basis[i] = None
 
-    reduced = []
     for i, t in enumerate(keep):
         rest = keep[:i] + keep[i + 1 :]
-        r = _tracked_nf(t, rest) if rest else t
-        lc = r.poly.leading()[1]
-        reduced.append(r.scale(field.one / lc))
-        keep[i] = reduced[-1]
-    reduced.sort(key=lambda t: _grevlex3(t.poly.leading()[0]))
-    return reduced
+        poly, reps = _tracked_nf(*t, rest) if rest else t
+        s = one / _leading(poly)[1]
+        keep[i] = (
+            {e: v * s for e, v in poly.items()},
+            tuple({e: v * s for e, v in r.items()} for r in reps),
+        )
+    keep.sort(key=lambda t: _grevlex3(_leading(t[0])[0]))
+    return keep
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Explicit Laurent cofactors witnessing h = u1*g1 + u2*g2."""
+    """Explicit Laurent cofactors witnessing h = u1*g1 + u2*g2.
+
+    `verified` is always true: `MembershipSolver.membership` re-expands
+    every certificate and raises `CertificateError` instead of returning
+    one that fails.  It stays in the JSON so that the shape is unchanged.
+    """
 
     u1: LaurentPoly
     u2: LaurentPoly
-    verified: bool = True
+    verified = True
 
     def holds_for(self, h, g1, g2):
         return self.u1 * g1 + self.u2 * g2 == h
@@ -304,13 +210,13 @@ class Certificate:
 
 
 def _rabinowitsch_gens(g1, g2):
-    """The three polynomial generators encoding the Laurent ideal (g1, g2)."""
-    field = g1.field
+    """The three term dicts in k[Y1, Y2, u] encoding the Laurent ideal (g1, g2)."""
+    one = g1.field.one
     gens = []
     for g in (g1, g2):
         _, terms = g._poly_normalize()
-        gens.append(Poly3(field, {(e[0], e[1], 0): c for e, c in terms.items()}))
-    gens.append(Poly3(field, {(0, 0, 0): field.one, (1, 1, 1): -field.one}))
+        gens.append({(e[0], e[1], 0): c for e, c in terms.items()})
+    gens.append({(0, 0, 0): one, (1, 1, 1): -one})
     return gens
 
 
@@ -324,7 +230,7 @@ class MembershipSolver:
         key = (g1, g2)
         hit = self._bases.get(key)
         if hit is None:
-            hit = _buchberger(_rabinowitsch_gens(g1, g2))
+            hit = _buchberger(_rabinowitsch_gens(g1, g2), g1.field.one)
             self._bases[key] = hit
         return hit
 
@@ -354,21 +260,19 @@ class MembershipSolver:
             return cert
 
         (h1, h2), hterms = h._poly_normalize()
-        h_hat = Poly3(field, {(e[0], e[1], 0): c for e, c in hterms.items()})
-        basis = self._basis(g1, g2)
-        seed = TrackedPoly(h_hat, tuple(Poly3.zero(field) for _ in range(3)))
-        out = _tracked_nf(seed, basis)
-        if not out.poly.is_zero:
+        h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
+        rem, reps = _tracked_nf(h_hat, ({}, {}, {}), self._basis(g1, g2))
+        if rem:
             return None
 
-        # h_hat == -sum(out.reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
+        # h_hat == -sum(reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
         # kills the relation generator and leaves Laurent cofactors for the
         # normalized pair, which the monomial units then carry back to (g1, g2).
         cofs = []
-        for g, rep in zip((g1, g2), out.reps[:2]):
+        for g, rep in zip((g1, g2), reps[:2]):
             (d1, d2), _ = g._poly_normalize()
             unit = LaurentPoly.monomial(field, -field.one, h1 - d1, h2 - d2)
-            cofs.append(unit * rep.substitute_u())
+            cofs.append(unit * _substitute_u(field, rep))
         cert = Certificate(cofs[0], cofs[1])
         if not cert.holds_for(h, g1, g2):
             raise CertificateError(f"basis certificate failed for {h}")

@@ -160,20 +160,6 @@ class LaurentPoly:
         out.terms = {e: v * c for e, v in self.terms.items()}
         return out
 
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = LaurentPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -190,17 +176,7 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    # -- units and exact division --------------------------------------------
-
-    def is_unit(self):
-        """Units of the Laurent ring are the nonzero monomials."""
-        return len(self.terms) == 1
-
-    def inverse(self):
-        if not self.is_unit():
-            raise NotInvertible(f"not a unit in the Laurent ring: {self}")
-        ((e1, e2), c), = self.terms.items()
-        return LaurentPoly.monomial(self.field, self.field.one / c, -e1, -e2)
+    # -- exact division --------------------------------------------------------
 
     def _poly_normalize(self):
         """Return (shift, terms) with terms shifted to have per-variable min 0."""

@@ -178,43 +178,43 @@ def _steps(profile):
     return {k: d.scale(weight) for k, d in steps.items() if not d.is_zero}
 
 
+def _identity_and_steps(f, field, profile=None):
+    """(f(1), {k: D_k}): (1, {}) for the spherical marker, (0, {0: 1}) for
+    the Iwahori marker, and read off `big_cell_profile(f)` otherwise."""
+    if isinstance(f, Spherical):
+        return LaurentPoly.one(field), {}
+    if isinstance(f, IwahoriPhiW):
+        return LaurentPoly.zero(field), {0: LaurentPoly.one(field)}
+    if profile is None:
+        profile = big_cell_profile(f)
+    return profile.identity, _steps(profile)
+
+
 def period_parts(f, field=None):
     """(f(1), U(f)) with U(f) = sum of Y2^k D_k, so l(f) = f(1) * g2 + g1 * U(f).
 
     The spherical marker gives (1, 0) and the Iwahori marker (0, 1).
     """
     field = vector_field(f, field)
-    if isinstance(f, Spherical):
-        return LaurentPoly.one(field), LaurentPoly.zero(field)
-    if isinstance(f, IwahoriPhiW):
-        return LaurentPoly.zero(field), LaurentPoly.one(field)
-    profile = big_cell_profile(f)
+    identity, steps = _identity_and_steps(f, field)
     u = LaurentPoly.zero(field)
-    for k, d in _steps(profile).items():
+    for k, d in steps.items():
         u = u + LaurentPoly.monomial(field, field.one, 0, k) * d
-    return profile.identity, u
+    return identity, u
 
 
 def whittaker_coefficient(f, k, field=None, profile=None):
     """The coefficient c_k(f), exactly.
 
-    Symbolic markers use their closed forms over the supplied field.  Table
-    vectors, translates, and combinations are integrated at the prime they
-    are tied to: the identity value rides the spherical closed form and J_k
-    is the prefix sum of the profile's steps.  A caller reading many k
-    passes the `big_cell_profile(f)` it has already built.
+    c_k(f) = f(1) * (1 - q^{-1} Y1 Y2^{-1}) * h_k + Y2^k * J_k with J_k the
+    prefix sum of the steps, so c_k(phi_w) = Y2^k for k >= 0.  Symbolic
+    markers live over the supplied field; other vectors are integrated at
+    their prime, and a caller reading many k passes their profile.
     """
     field = vector_field(f, field)
-    if isinstance(f, Spherical):
-        return cs_factor_regularized(field) * shintani_sph(field, k)
-    if isinstance(f, IwahoriPhiW):
-        if k < 0:
-            return LaurentPoly.zero(field)
-        return LaurentPoly.monomial(field, field.one, 0, k)
-    if profile is None:
-        profile = big_cell_profile(f)
-    out = profile.identity * cs_factor_regularized(field) * shintani_sph(field, k)
-    j = sum((d for i, d in _steps(profile).items() if i <= k), LaurentPoly.zero(field))
+    identity, steps = _identity_and_steps(f, field, profile)
+    out = identity * cs_factor_regularized(field) * shintani_sph(field, k)
+    j = sum((d for i, d in steps.items() if i <= k), LaurentPoly.zero(field))
     if not j.is_zero:
         out = out + LaurentPoly.monomial(field, field.one, 0, k) * j
     return out

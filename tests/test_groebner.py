@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from toricperiod.groebner import (
     Certificate,
     MembershipSolver,
-    Poly3,
-    TrackedPoly,
     _buchberger,
     _grevlex3,
+    _rabinowitsch_gens,
     _tracked_nf,
     bivariate_gcd,
     laurent_membership,
@@ -53,69 +52,71 @@ def test_grevlex_order():
 # -- Buchberger ---------------------------------------------------------------------
 
 
+def combine3(field, pairs):
+    """sum(f * g for f, g in pairs) over term dicts in k[Y1, Y2, u], zeros dropped."""
+    out = {}
+    for f, g in pairs:
+        for (a1, b1, c1), x in f.items():
+            for (a2, b2, c2), y in g.items():
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                out[key] = out.get(key, field.zero) + x * y
+    return {e: c for e, c in out.items() if c != field.zero}
+
+
 def test_reduced_basis_of_three_points():
     # <Y1^2 - Y2, Y1^3 - Y1> cuts out (0,0), (1,1), (-1,1); its reduced basis
     # is the classic triple below.
+    one = S.one
     gens = [
-        Poly3(S, {(2, 0, 0): 1, (0, 1, 0): -1}),
-        Poly3(S, {(3, 0, 0): 1, (1, 0, 0): -1}),
+        {(2, 0, 0): one, (0, 1, 0): -one},
+        {(3, 0, 0): one, (1, 0, 0): -one},
     ]
-    basis = _buchberger(gens)
-    polys = [t.poly for t in basis]
+    basis = _buchberger(gens, one)
+    polys = [poly for poly, _ in basis]
     assert polys == [
-        Poly3(S, {(0, 2, 0): 1, (0, 1, 0): -1}),
-        Poly3(S, {(1, 1, 0): 1, (1, 0, 0): -1}),
-        Poly3(S, {(2, 0, 0): 1, (0, 1, 0): -1}),
+        {(0, 2, 0): one, (0, 1, 0): -one},
+        {(1, 1, 0): one, (1, 0, 0): -one},
+        {(2, 0, 0): one, (0, 1, 0): -one},
     ]
 
 
 def test_tracking_invariant_on_basis():
-    rng = random.Random(7)
-    for _ in range(25):
-        gens = []
-        for _ in range(rng.randint(2, 3)):
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                e = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))
-                terms[e] = Fraction(rng.choice([-2, -1, 1, 2]))
-            terms[(0, 0, 0)] = terms.get((0, 0, 0), Fraction(0)) + rng.choice([0, 1])
-            gens.append(Poly3(N3, terms))
-        if all(g.is_zero for g in gens):
-            continue
-        for t in _buchberger(gens):
-            acc = Poly3.zero(N3)
-            for rep, g in zip(t.reps, gens):
-                acc = acc + rep * g
-            assert acc == t.poly
+    for field in (N3, S):
+        rng = random.Random(7)
+        for _ in range(25):
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    e = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))
+                    terms[e] = field.from_fraction(Fraction(rng.choice([-2, -1, 1, 2])))
+                bump = field.from_fraction(Fraction(rng.choice([0, 1])))
+                terms[(0, 0, 0)] = terms.get((0, 0, 0), field.zero) + bump
+                gens.append({e: c for e, c in terms.items() if c != field.zero})
+            if not any(gens):
+                continue
+            for poly, reps in _buchberger(gens, field.one):
+                assert combine3(field, zip(reps, gens)) == poly
 
 
 def test_normal_form_is_idempotent_and_tracked():
     g1, g2 = gen_pair(N3)
-    solver = MembershipSolver()
-    basis = solver._basis(g1, g2)
-    rng = random.Random(19)
-    from toricperiod.groebner import _rabinowitsch_gens
-
+    basis = MembershipSolver()._basis(g1, g2)
     gens = _rabinowitsch_gens(g1, g2)
+    rng = random.Random(19)
     for _ in range(30):
         terms = {
-            (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)): Fraction(
-                rng.randint(-3, 3)
+            (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)): N3.from_fraction(
+                Fraction(rng.randint(-3, 3))
             )
             for _ in range(4)
         }
-        h = Poly3(N3, terms)
-        seed = TrackedPoly(h, tuple(Poly3.zero(N3) for _ in range(3)))
-        out = _tracked_nf(seed, basis)
+        h = {e: c for e, c in terms.items() if c != N3.zero}
+        rem, reps = _tracked_nf(h, ({}, {}, {}), basis)
         # h = remainder - sum(reps[i] * gens[i])
-        acc = out.poly
-        for rep, g in zip(out.reps, gens):
-            acc = acc - rep * g
-        assert acc == h
-        again = _tracked_nf(
-            TrackedPoly(out.poly, tuple(Poly3.zero(N3) for _ in range(3))), basis
-        )
-        assert again.poly == out.poly
+        assert combine3(N3, [({(0, 0, 0): N3.one}, h), *zip(reps, gens)]) == rem
+        again, _ = _tracked_nf(rem, ({}, {}, {}), basis)
+        assert again == rem
 
 
 # -- membership ----------------------------------------------------------------------
