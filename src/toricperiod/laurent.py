@@ -52,9 +52,10 @@ class LaurentPoly:
         self.field = field
         clean = {}
         if terms:
+            zero = field.zero
             for e, c in terms.items():
                 c = field.coerce(c)
-                if c != field.zero:
+                if c != zero:
                     clean[(int(e[0]), int(e[1]))] = c
         self.terms = clean
 

@@ -77,11 +77,14 @@ def spherical_ratio(f, field=None):
     """The period of f divided by the spherical period, if it stays in A.
 
     Returns the exact Laurent quotient, or None when the ratio genuinely
-    leaves the ring; the spherical vector itself normalizes to 1.
+    leaves the ring; the spherical vector itself normalizes to 1.  Since
+    l(f) = f(1) * g2 + g1 * U(f) and g1, g2 are coprime, g2 divides l(f)
+    exactly when it divides U(f), and then l(f)/g2 = f(1) + g1 * U(f)/g2.
     """
-    la = toric_period(f, field)
+    identity, u = period_parts(f, field)
+    g1, g2 = image_ideal(identity.field)
     try:
-        return la.divide_exact(image_ideal(la.field)[1])
+        return identity + g1 * u.divide_exact(g2)
     except NotDivisible:
         return None
 

@@ -157,33 +157,36 @@ def _fraction_poly(coeffs):
     return pstrip(tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
 
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
 class RationalFunction:
     """Element of Q(q), stored as a reduced fraction of Fraction-tuples.
 
     Invariants: gcd(num, den) = 1 and den is monic; zero is ((), (1,)).
+    `_k` is k when den = q^k and None otherwise.
 
     A denominator c*q^k (the common case: Laurent polynomials in q) skips
-    Euclid.  Its monic gcd with num is q^m for m = min(k, ord_q num), so m
-    low entries are stripped from both and den is scaled to q^(k-m), which
-    is exactly the form the gcd route returns.
+    Euclid, in the constructor and in every operator whose operands both
+    have one: see `_laurent`.  Any other denominator takes the gcd route.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_k")
 
     def __init__(self, num, den=(1,)):
         num = _fraction_poly(num)
         den = _fraction_poly(den)
         if not den:
             raise NotInvertible("rational function with zero denominator")
-        if not num:
-            den = (Fraction(1),)
-        elif not any(den[:-1]):
-            m = min(len(den) - 1, next(i for i, c in enumerate(num) if c))
-            num, den = num[m:], den[m:]
+        if not any(den[:-1]):
             if den[-1] != 1:
                 lc_inv = 1 / den[-1]
                 num = tuple(c * lc_inv for c in num)
-                den = den[:-1] + (Fraction(1),)
+            reduced = self._laurent(num, len(den) - 1)
+            num, den = reduced.num, reduced.den
+        elif not num:
+            den = (_F1,)
         else:
             g = pgcd(num, den)
             if len(g) > 1:
@@ -194,9 +197,37 @@ class RationalFunction:
             den = tuple(c * lc_inv for c in den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_k", None if any(den[:-1]) else len(den) - 1)
 
     def __setattr__(self, *_):
         raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def _laurent(cls, num, k):
+        """num/q^k in lowest terms, for a sequence num of Fractions and any int k.
+
+        The monic gcd of num and q^k is q^m for m = min(k, ord_q num), so m
+        low zeros go from num and den is q^(k-m): exactly the form the gcd
+        route returns.  A negative k moves into num as low zeros.
+        """
+        hi = len(num)
+        while hi and not num[hi - 1]:
+            hi -= 1
+        if not hi:
+            k = 0
+        lo = 0
+        while lo < k and not num[lo]:
+            lo += 1
+        num = tuple(num[lo:hi])
+        k -= lo
+        if k < 0:
+            num = (_F0,) * -k + num
+            k = 0
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", (_F0,) * k + (_F1,))
+        object.__setattr__(out, "_k", k)
+        return out
 
     @classmethod
     def from_fraction(cls, fr):
@@ -204,9 +235,7 @@ class RationalFunction:
 
     @classmethod
     def q_power(cls, e):
-        if e >= 0:
-            return cls((0,) * e + (1,))
-        return cls((1,), (0,) * (-e) + (1,))
+        return cls._laurent((_F1,), -e)
 
     @staticmethod
     def _coerce(x):
@@ -220,15 +249,30 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(
-            padd(pmul(self.num, o.den), pmul(o.num, self.den)),
-            pmul(self.den, o.den),
-        )
+        ka, kb = self._k, o._k
+        if ka is None or kb is None:
+            return RationalFunction(
+                padd(pmul(self.num, o.den), pmul(o.num, self.den)),
+                pmul(self.den, o.den),
+            )
+        # a/q^ka + b/q^kb = (q^(k-ka) a + q^(k-kb) b)/q^k for k = max(ka, kb)
+        k = max(ka, kb)
+        a = (_F0,) * (k - ka) + self.num
+        b = (_F0,) * (k - kb) + o.num
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return self._laurent(out, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(pneg(self.num), self.den)
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", tuple(-c for c in self.num))
+        object.__setattr__(out, "den", self.den)
+        object.__setattr__(out, "_k", self._k)
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -246,7 +290,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(pmul(self.num, o.num), pmul(self.den, o.den))
+        ka, kb = self._k, o._k
+        if ka is None or kb is None:
+            return RationalFunction(pmul(self.num, o.num), pmul(self.den, o.den))
+        # pmul leaves the int 0 at a place no product reaches
+        return self._laurent([c or _F0 for c in pmul(self.num, o.num)], ka + kb)
 
     __rmul__ = __mul__
 
@@ -256,7 +304,12 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise NotInvertible("division by zero rational function")
-        return RationalFunction(pmul(self.num, o.den), pmul(self.den, o.num))
+        k = self._k
+        mono = None if k is None else o.is_q_monomial()
+        if mono is None:
+            return RationalFunction(pmul(self.num, o.den), pmul(self.den, o.num))
+        c, m = mono
+        return self._laurent([x / c for x in self.num], k + m)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -269,7 +322,7 @@ class RationalFunction:
             return NotImplemented
         if e < 0:
             return (1 / self) ** (-e)
-        out = RationalFunction((1,))
+        out = _ONE_RF
         base = self
         while e:
             if e & 1:
@@ -320,6 +373,10 @@ class RationalFunction:
         if self.den == (Fraction(1),):
             return pstr(self.num)
         return f"({pstr(self.num)})/({pstr(self.den)})"
+
+
+_ZERO_RF = RationalFunction(())
+_ONE_RF = RationalFunction((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +564,11 @@ class QSymbolic:
 
     @property
     def zero(self):
-        return RationalFunction(())
+        return _ZERO_RF
 
     @property
     def one(self):
-        return RationalFunction((1,))
+        return _ONE_RF
 
     def from_fraction(self, fr):
         return RationalFunction.from_fraction(fr)

@@ -8,7 +8,7 @@ from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_
 from toricperiod import period, scalars
 from toricperiod.cli import main
 from toricperiod.groebner import Certificate, MembershipSolver
-from toricperiod.laurent import TailViolation, ZPoly, mono, one, qpow, y1, y2, zero
+from toricperiod.laurent import NotDivisible, TailViolation, ZPoly, mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import Mat2, diag, psi_eval, unipotent
 from toricperiod.period import (
     VerdictMismatch,
@@ -117,6 +117,35 @@ def test_spherical_ratio():
     F = QNumeric(2)
     assert spherical_ratio(sph_table(F, 2, 1)) == one(F)
     assert spherical_ratio(f0_table(F, 2, 1)) is None
+
+
+def _ratio_by_dividing_the_period(f, field=None):
+    la = toric_period(f, field)
+    try:
+        return la.divide_exact(image_ideal(la.field)[1])
+    except NotDivisible:
+        return None
+
+
+def test_spherical_ratio_matches_dividing_the_period():
+    # spherical_ratio divides only U(f) by g2; dividing the whole period must
+    # give the same quotient, and None in the same cases.
+    vectors = [(SPH, S), (PHI_W, S), (SPH, QNumeric(3)), (PHI_W, QNumeric(2))]
+    for p in (2, 3):
+        F = QNumeric(p)
+        for n in (1, 2):
+            table = random_table(p, n, seed=10 * p + n)
+            vectors += [
+                (table, None),
+                (LinComb([(mono(F, Fraction(-2), 1, -1), sph_table(F, p, n))]), None),
+                (LinComb([(one(F), table), (mono(F, Fraction(1, 3), 0, 1), sph_table(F, p, n))]), None),
+            ]
+    quotients = 0
+    for f, field in vectors:
+        want = _ratio_by_dividing_the_period(f, field)
+        assert spherical_ratio(f, field) == want
+        quotients += want is not None
+    assert 0 < quotients < len(vectors)
 
 
 # -- ideal presentations -------------------------------------------------------------

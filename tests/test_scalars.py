@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toricperiod import scalars
 from toricperiod.scalars import (
     Cyclotomic,
     FieldMismatch,
@@ -13,11 +14,13 @@ from toricperiod.scalars import (
     QNumeric,
     QSymbolic,
     RationalFunction,
+    padd,
     parse_rational,
     pdiv_exact,
     pdivmod,
     pgcd,
     pmul,
+    psub,
     pstrip,
 )
 
@@ -53,14 +56,8 @@ def test_pdivmod_roundtrip():
         while not b:
             b = rand_poly(rng, 3)
         q, r = pdivmod(a, b)
-        assert pstrip_eq(padd_(pmul(q, b), r), a)
+        assert pstrip_eq(padd(pmul(q, b), r), a)
         assert len(r) < len(b)
-
-
-def padd_(a, b):
-    from toricperiod.scalars import padd
-
-    return padd(a, b)
 
 
 def pstrip_eq(a, b):
@@ -176,6 +173,65 @@ def test_rf_monomial_denominator_matches_euclid(low_zeros, coeffs, k, c):
     assert f.num == tuple(x / lc for x in want_num)
     assert f.den == tuple(x / lc for x in want_den)
     assert f.den[-1] == 1 and all(x == 0 for x in f.den[:-1])
+
+
+def _euclid_form(num, den):
+    """num/den reduced through pgcd with a monic denominator: the general route."""
+    num, den = pstrip(num), pstrip(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = pgcd(num, den)
+    num, den = pdiv_exact(num, g), pdiv_exact(den, g)
+    lc = den[-1]
+    return tuple(x / lc for x in num), tuple(x / lc for x in den)
+
+
+q_laurent = st.builds(
+    lambda coeffs, k: RF(coeffs, (0,) * k + (1,)),
+    st.lists(small_fractions, max_size=6),
+    st.integers(0, 5),
+)
+q_monomials = st.builds(RF.__mul__, nonzero_fractions.map(RF.from_fraction),
+                        st.integers(-4, 4).map(RF.q_power))
+
+
+@given(a=q_laurent, b=st.one_of(q_laurent, q_monomials))
+def test_rf_q_power_denominators_match_euclid(a, b):
+    # Operands with denominator q^k take the shift-and-add route; each result
+    # must be the (num, den) the cross-multiplied gcd route computes.
+    cases = [
+        (a + b, padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
+        (a - b, psub(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
+        (a * b, pmul(a.num, b.num), pmul(a.den, b.den)),
+        (-a, tuple(-x for x in a.num), a.den),
+    ]
+    if b:
+        cases.append((a / b, pmul(a.num, b.den), pmul(a.den, b.num)))
+    for got, num, den in cases:
+        want = _euclid_form(num, den)
+        assert (got.num, got.den) == want
+        assert hash(got) == hash(RF(*want))
+        assert all(type(x) is Fraction for x in got.num + got.den)
+        assert got.den[-1] == 1
+
+
+def test_q_laurent_arithmetic_skips_convolutions(monkeypatch):
+    calls = []
+
+    def counting_pmul(x, y):
+        calls.append(1)
+        return pmul(x, y)
+
+    a = RF((3, 0, -1, 2), (0, 0, 1))  # (3 - q^2 + 2q^3)/q^2
+    b = RF((Fraction(1, 2), 1), (0, 1))  # (1/2 + q)/q
+    monkeypatch.setattr(scalars, "pmul", counting_pmul)
+    a + b, a - b, -a
+    assert calls == []
+    a * b
+    assert calls == [1]
+    calls.clear()
+    a / RF.q_power(-3), a / RF((0, Fraction(-2, 3)))
+    assert calls == []
 
 
 def test_rf_str():
