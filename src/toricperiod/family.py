@@ -16,6 +16,7 @@ spherical vector, and the Iwahori-fixed vector supported on the big cell.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -276,14 +277,16 @@ def random_table(p, n, seed):
 # -- serialization ----------------------------------------------------------------
 
 
+# ASCII digits only, as scalars.parse_rational reads them: no sign or padding.
+_CLASS_LABEL = re.compile(r"\[([0-9]+):([0-9]+)\]")
+
+
 def _parse_class(text, p, n):
-    if not (isinstance(text, str) and text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"bad class label {text!r}")
-    body = text[1:-1].split(":")
-    if len(body) != 2:
+    label = _CLASS_LABEL.fullmatch(text) if isinstance(text, str) else None
+    if label is None:
         raise ParseError(f"bad class label {text!r}")
     try:
-        a, b = int(body[0]), int(body[1])
+        a, b = int(label[1]), int(label[2])
     except ValueError:
         raise ParseError(f"bad class label {text!r}") from None
     try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, NotDivisible
+from .laurent import LaurentPoly, NotDivisible, _grevlex2
 from .scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip, psub
 
 
@@ -411,5 +411,5 @@ def bivariate_gcd(f, g):
             if c != 0:
                 terms[(e1, e2)] = c
     out = LaurentPoly(field, terms)
-    lt = max(out.terms, key=lambda e: (e[0] + e[1], e[0]))
+    lt = max(out.terms, key=_grevlex2)
     return out.scale(field.one / out.terms[lt])

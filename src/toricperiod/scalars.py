@@ -61,12 +61,8 @@ def padd(a, b):
     return pstrip(out)
 
 
-def pneg(a):
-    return tuple(-x for x in a)
-
-
 def psub(a, b):
-    return padd(a, pneg(b))
+    return padd(a, tuple(-x for x in b))
 
 
 def pmul(a, b):
@@ -124,110 +120,121 @@ def peval(a, x):
     return acc
 
 
-def pstr(a, var="q"):
-    if not a:
-        return "0"
-    parts = []
-    for e, c in enumerate(a):
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(c)
-        else:
-            v = var if e == 1 else f"{var}^{e}"
-            if c == 1:
-                body = v
-            elif c == -1:
-                body = f"-{v}"
-            else:
-                body = f"{c}*{v}"
-        parts.append(body)
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Rational functions in the formal variable q.
-
-
-def _fraction_poly(coeffs):
-    """coeffs as a stripped tuple of Fractions; entries already Fractions are kept."""
-    return pstrip(tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
+# Rational functions in the formal variable q.  A Laurent polynomial in q is
+# a term dict {exponent: Fraction} with no zero values.
 
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_DEN1 = (_F1,)
+
+
+def _merge(a, b):
+    """a + b for term dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, c in b.items():
+        if e in out:
+            c += out.pop(e)
+        if c:
+            out[e] = c
+    return out
+
+
+def _convolve(a, b):
+    """a * b for term dicts."""
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            s = out.get(e + f)
+            out[e + f] = c * d if s is None else s + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms(coeffs, shift=0):
+    """q^shift times the polynomial with coefficients coeffs, as a term dict."""
+    return {e + shift: c for e, c in enumerate(coeffs) if c}
+
+
+def _dense(num):
+    """(lo, coeffs) with the nonzero term dict num = q^lo * sum coeffs[i] q^i."""
+    lo = min(num)
+    out = [0] * (max(num) - lo + 1)
+    for e, c in num.items():
+        out[e - lo] = c
+    return lo, out
+
+
+def _reduce(num, den):
+    """(num, den) in lowest terms for a term dict num and a coefficient tuple den.
+
+    A single-term den = c*q^m is a scale and a shift; only a denominator of
+    positive degree, once its factor q^m is gone, meets num in `pgcd`.
+    """
+    den = pstrip(den)
+    if not den:
+        raise NotInvertible("rational function with zero denominator")
+    m = next(i for i, x in enumerate(den) if x)
+    den = den[m:]
+    if num and len(den) > 1:
+        lo, coeffs = _dense(num)
+        g = pgcd(coeffs, den)
+        if len(g) > 1:
+            coeffs, den = pdiv_exact(coeffs, g), pdiv_exact(den, g)
+        num = _terms(coeffs, lo)
+    if not num:
+        return {}, _DEN1
+    c = den[-1]
+    den = tuple(x / c for x in den) if len(den) > 1 else _DEN1
+    if c != 1 or m:
+        num = {e - m: x / c for e, x in num.items()}
+    return num, den
+
+
+def _new(num, den=_DEN1):
+    """The RationalFunction num/den for a pair already in lowest terms."""
+    out = object.__new__(RationalFunction)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def _pstr(terms):
+    """Sorted (exponent >= 0, nonzero coefficient) pairs as a polynomial in q."""
+    out = []
+    for e, c in terms:
+        v = "q" if e == 1 else f"q^{e}"
+        t = str(c) if e == 0 else v if c == 1 else f"-{v}" if c == -1 else f"{c}*{v}"
+        out.append(t if not out else f"- {t[1:]}" if t.startswith("-") else f"+ {t}")
+    return " ".join(out) or "0"
 
 
 class RationalFunction:
-    """Element of Q(q), stored as a reduced fraction of Fraction-tuples.
+    """Element of Q(q): a Laurent polynomial num over a polynomial den.
 
-    Invariants: gcd(num, den) = 1 and den is monic; zero is ((), (1,)).
-    `_k` is k when den = q^k and None otherwise.
+    num is a term dict {exponent: Fraction} with no zero values, so a power
+    of q in a denominator is a negative exponent; den is a monic tuple of
+    Fractions (lowest degree first) with nonzero constant term, coprime to
+    num.  Zero is ({}, (1,)).
 
-    A denominator c*q^k (the common case: Laurent polynomials in q) skips
-    Euclid, in the constructor and in every operator whose operands both
-    have one: see `_laurent`.  Any other denominator takes the gcd route.
+    Every value the engine forms is a Laurent polynomial, den == (1,): `+`
+    merges term dicts, `*` convolves them and `/` by c*q^m scales and
+    shifts.  Any other operand cross-multiplies into `_reduce`.
     """
 
-    __slots__ = ("num", "den", "_k")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = _fraction_poly(num)
-        den = _fraction_poly(den)
-        if not den:
-            raise NotInvertible("rational function with zero denominator")
-        if not any(den[:-1]):
-            if den[-1] != 1:
-                lc_inv = 1 / den[-1]
-                num = tuple(c * lc_inv for c in num)
-            reduced = self._laurent(num, len(den) - 1)
-            num, den = reduced.num, reduced.den
-        elif not num:
-            den = (_F1,)
-        else:
-            g = pgcd(num, den)
-            if len(g) > 1:
-                num = pdiv_exact(num, g)
-                den = pdiv_exact(den, g)
-            lc_inv = 1 / den[-1]
-            num = tuple(c * lc_inv for c in num)
-            den = tuple(c * lc_inv for c in den)
+        """num/den for coefficient sequences, lowest degree first."""
+        num = {e: c if type(c) is Fraction else Fraction(c) for e, c in enumerate(num) if c}
+        num, den = _reduce(num, tuple(c if type(c) is Fraction else Fraction(c) for c in den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_k", None if any(den[:-1]) else len(den) - 1)
 
     def __setattr__(self, *_):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def _laurent(cls, num, k):
-        """num/q^k in lowest terms, for a sequence num of Fractions and any int k.
-
-        The monic gcd of num and q^k is q^m for m = min(k, ord_q num), so m
-        low zeros go from num and den is q^(k-m): exactly the form the gcd
-        route returns.  A negative k moves into num as low zeros.
-        """
-        hi = len(num)
-        while hi and not num[hi - 1]:
-            hi -= 1
-        if not hi:
-            k = 0
-        lo = 0
-        while lo < k and not num[lo]:
-            lo += 1
-        num = tuple(num[lo:hi])
-        k -= lo
-        if k < 0:
-            num = (_F0,) * -k + num
-            k = 0
-        out = object.__new__(cls)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", (_F0,) * k + (_F1,))
-        object.__setattr__(out, "_k", k)
-        return out
 
     @classmethod
     def from_fraction(cls, fr):
@@ -235,44 +242,29 @@ class RationalFunction:
 
     @classmethod
     def q_power(cls, e):
-        return cls._laurent((_F1,), -e)
+        return _new({e: _F1})
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, RationalFunction):
             return x
         if isinstance(x, (int, Fraction)):
-            return RationalFunction((x,))
+            return _new({0: Fraction(x)} if x else {})
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ka, kb = self._k, o._k
-        if ka is None or kb is None:
-            return RationalFunction(
-                padd(pmul(self.num, o.den), pmul(o.num, self.den)),
-                pmul(self.den, o.den),
-            )
-        # a/q^ka + b/q^kb = (q^(k-ka) a + q^(k-kb) b)/q^k for k = max(ka, kb)
-        k = max(ka, kb)
-        a = (_F0,) * (k - ka) + self.num
-        b = (_F0,) * (k - kb) + o.num
-        if len(a) < len(b):
-            a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        return self._laurent(out, k)
+        if self.den == _DEN1 == o.den:
+            return _new(_merge(self.num, o.num))
+        num = _merge(_convolve(self.num, _terms(o.den)), _convolve(o.num, _terms(self.den)))
+        return _new(*_reduce(num, pmul(self.den, o.den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        object.__setattr__(out, "num", tuple(-c for c in self.num))
-        object.__setattr__(out, "den", self.den)
-        object.__setattr__(out, "_k", self._k)
-        return out
+        return _new({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -290,11 +282,10 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ka, kb = self._k, o._k
-        if ka is None or kb is None:
-            return RationalFunction(pmul(self.num, o.num), pmul(self.den, o.den))
-        # pmul leaves the int 0 at a place no product reaches
-        return self._laurent([c or _F0 for c in pmul(self.num, o.num)], ka + kb)
+        num = _convolve(self.num, o.num)
+        if self.den == _DEN1 == o.den:
+            return _new(num)
+        return _new(*_reduce(num, pmul(self.den, o.den)))
 
     __rmul__ = __mul__
 
@@ -304,12 +295,11 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise NotInvertible("division by zero rational function")
-        k = self._k
-        mono = None if k is None else o.is_q_monomial()
-        if mono is None:
-            return RationalFunction(pmul(self.num, o.den), pmul(self.den, o.num))
-        c, m = mono
-        return self._laurent([x / c for x in self.num], k + m)
+        if o.den == _DEN1 and len(o.num) == 1:
+            ((m, c),) = o.num.items()
+            return _new({e - m: x / c for e, x in self.num.items()}, self.den)
+        lo, coeffs = _dense(o.num)
+        return _new(*_reduce(_convolve(self.num, _terms(o.den, -lo)), pmul(self.den, coeffs)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -338,45 +328,50 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self.is_constant():
+            return hash(self.num.get(0, _F0))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __bool__(self):
         return bool(self.num)
 
     def is_constant(self):
-        return self.den == (Fraction(1),) and len(self.num) <= 1
+        return self.den == _DEN1 and self.num.keys() <= {0}
 
     def as_fraction(self):
         if not self.is_constant():
             raise NotRational(f"not a constant: {self}")
-        return self.num[0] if self.num else Fraction(0)
+        return self.num.get(0, _F0)
 
     def is_q_monomial(self):
         """Return (c, e) if self = c*q^e, else None.  Zero is not a monomial."""
-        nz = [i for i, c in enumerate(self.num) if c != 0]
-        dz = [i for i, c in enumerate(self.den) if c != 0]
-        if len(nz) != 1 or len(dz) != 1:
+        if self.den != _DEN1 or len(self.num) != 1:
             return None
-        return self.num[nz[0]], nz[0] - dz[0]
+        ((e, c),) = self.num.items()
+        return c, e
 
     def evaluate(self, q_value):
         q_value = Fraction(q_value)
         d = peval(self.den, q_value)
-        if d == 0:
+        if d == 0 or (q_value == 0 and min(self.num, default=0) < 0):
             raise NotInvertible(f"pole of {self} at q={q_value}")
-        return peval(self.num, q_value) / d
+        return sum(c * q_value**e for e, c in self.num.items()) / d
 
     def __repr__(self):
         return f"RationalFunction({self})"
 
     def __str__(self):
-        if self.den == (Fraction(1),):
-            return pstr(self.num)
-        return f"({pstr(self.num)})/({pstr(self.den)})"
+        # Printed as the polynomial quotient q^k num / q^k den, with k the
+        # least shift that clears the negative exponents of num.
+        k = max(0, -min(self.num, default=0))
+        num = _pstr(sorted((e + k, c) for e, c in self.num.items()))
+        if not k and self.den == _DEN1:
+            return num
+        return f"({num})/({_pstr((e + k, c) for e, c in enumerate(self.den) if c)})"
 
 
-_ZERO_RF = RationalFunction(())
-_ONE_RF = RationalFunction((1,))
+_ZERO_RF = _new({})
+_ONE_RF = _new({0: _F1})
 
 
 # ---------------------------------------------------------------------------

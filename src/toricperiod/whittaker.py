@@ -58,6 +58,7 @@ from .family import (
     Spherical,
     TableVector,
     big_cell_split,  # noqa: F401  (bound here so perfbench/tracer.py can time the split)
+    chi_delta_value,
     evaluate,  # noqa: F401  (bound here so perfbench/tracer.py can count evaluations)
     invariance_level,
     tabulate,
@@ -87,8 +88,8 @@ def shintani_sph(field, k):
 
 
 def sph_big_cell_value(field, m):
-    """Value of the spherical vector at w n(u) for v(u) = -m < 0."""
-    return LaurentPoly.monomial(field, field.q_power(-m), m, -m)
+    """Value of the spherical vector at w n(u) for v(u) = -m < 0: chi_delta at (m, -m)."""
+    return chi_delta_value(field, m, -m)
 
 
 def cs_factor_regularized(field):

@@ -305,9 +305,11 @@ def test_json_parse_errors():
     bad = {**good, "values": good["values"][:1] * len(good["values"])}
     with pytest.raises(ParseError):
         vector_from_json(bad)
-    mangled = {**good, "values": [{**good["values"][0], "class": "[x:1]"}] + good["values"][1:]}
-    with pytest.raises(ParseError):
-        vector_from_json(mangled)
+    # labels are ASCII digits only: no sign, padding, separator or other numerals
+    for label in ("[x:1]", "[+1:1]", "[ 2:1]", "[1_0:1]", "[\uff11:1]", "[-0:1]", "[1:0 ]"):
+        mangled = {**good, "values": [{**good["values"][0], "class": label}] + good["values"][1:]}
+        with pytest.raises(ParseError, match="bad class label"):
+            vector_from_json(mangled)
     with pytest.raises(ClassCoverageError):
         vector_from_json({**good, "values": good["values"][:-1]})
     with pytest.raises(ParseError):

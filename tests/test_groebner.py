@@ -398,6 +398,31 @@ def test_membership_verdict_matches_point_oracle(case):
         assert cert.holds_for(h, g1, g2)
 
 
+def test_wide_q_span_symbolic_member():
+    # Cofactor scalars whose q-exponents span +-2000: a power of q is an
+    # exponent of the scalar, so this is as small a problem as span 2.
+    E = 2000
+    q = S.q_power
+    g1, g2 = gen_pair(S)
+    u1 = (
+        LaurentPoly.monomial(S, q(E) + 3 * q(-E), 1, -1)
+        + LaurentPoly.monomial(S, q(E // 2) - q(-7), -1, 2)
+        + mono(S, 2, 0, 1)
+    )
+    u2 = (
+        LaurentPoly.monomial(S, q(-E) - Fraction(1, 2) * q(E - 1), 2, 0)
+        + LaurentPoly.monomial(S, q(3 - E), -1, -1)
+    )
+    h = u1 * g1 + u2 * g2
+    at_point = S.one, S.q_power(-1)
+    assert h.evaluate_at(*at_point) == S.zero
+    cert = MembershipSolver().membership(h, g1, g2)
+    assert cert is not None and cert.holds_for(h, g1, g2)
+    off = h + qpow(S, E)
+    assert off.evaluate_at(*at_point) != S.zero
+    assert MembershipSolver().membership(off, g1, g2) is None
+
+
 # -- ideal comparison -------------------------------------------------------------------
 
 

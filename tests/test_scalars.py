@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toricperiod import scalars
 from toricperiod.scalars import (
     Cyclotomic,
     FieldMismatch,
@@ -90,6 +89,10 @@ def test_rf_zero_and_constants():
     assert not RF(())
     assert RF((0, 0)) == 0
     assert RF((5,)).as_fraction() == 5
+    # a constant hashes as its Fraction, as == says it should
+    assert hash(RF((5,))) == hash(5) == hash(Fraction(5))
+    assert {Fraction(5): 1}.get(RF((5,))) == 1
+    assert hash(RF(())) == hash(0)
     with pytest.raises(NotRational):
         RF((0, 1)).as_fraction()
     with pytest.raises(NotInvertible):
@@ -151,28 +154,15 @@ small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 nonzero_fractions = small_fractions.filter(lambda c: c != 0)
 
 
-@given(
-    low_zeros=st.integers(0, 4),
-    coeffs=st.lists(small_fractions, max_size=5),
-    k=st.integers(0, 5),
-    c=nonzero_fractions,
-)
-def test_rf_monomial_denominator_matches_euclid(low_zeros, coeffs, k, c):
-    # den = c * q^k takes the shortcut past Euclid; it must land on the same
-    # reduced, monic-denominator form that the gcd route computes.
-    num = (Fraction(0),) * low_zeros + tuple(coeffs)
-    den = (Fraction(0),) * k + (c,)
-    f = RF(num, den)
-    num = pstrip(num)
-    if not num:
-        assert (f.num, f.den) == ((), (1,))
-        return
-    g = pgcd(num, den)
-    want_num, want_den = pdiv_exact(num, g), pdiv_exact(den, g)
-    lc = want_den[-1]
-    assert f.num == tuple(x / lc for x in want_num)
-    assert f.den == tuple(x / lc for x in want_den)
-    assert f.den[-1] == 1 and all(x == 0 for x in f.den[:-1])
+def _dense_view(f):
+    """(q^k num, q^k den) as coefficient tuples, for the least k >= 0 that
+    clears the negative exponents of f.num: the reduced, monic-denominator
+    form of f as a quotient of polynomials."""
+    k = max(0, -min(f.num, default=0))
+    num = [Fraction(0)] * (max(f.num, default=-1) + k + 1)
+    for e, c in f.num.items():
+        num[e + k] = c
+    return tuple(num), (Fraction(0),) * k + f.den
 
 
 def _euclid_form(num, den):
@@ -186,6 +176,30 @@ def _euclid_form(num, den):
     return tuple(x / lc for x in num), tuple(x / lc for x in den)
 
 
+def _assert_canonical(f):
+    assert all(type(x) is Fraction and x != 0 for x in f.num.values())
+    assert all(type(x) is Fraction for x in f.den)
+    assert f.den[0] != 0 and f.den[-1] == 1
+
+
+@given(
+    low_zeros=st.integers(0, 4),
+    coeffs=st.lists(small_fractions, max_size=5),
+    k=st.integers(0, 5),
+    c=nonzero_fractions,
+)
+def test_rf_monomial_denominator_matches_euclid(low_zeros, coeffs, k, c):
+    # den = c * q^k is a scale and a shift of the numerator's exponents; it
+    # must land on the same reduced, monic-denominator form that the gcd
+    # route computes.
+    num = (Fraction(0),) * low_zeros + tuple(coeffs)
+    den = (Fraction(0),) * k + (c,)
+    f = RF(num, den)
+    assert _dense_view(f) == _euclid_form(num, den)
+    assert f.den == (1,)
+    _assert_canonical(f)
+
+
 q_laurent = st.builds(
     lambda coeffs, k: RF(coeffs, (0,) * k + (1,)),
     st.lists(small_fractions, max_size=6),
@@ -197,41 +211,56 @@ q_monomials = st.builds(RF.__mul__, nonzero_fractions.map(RF.from_fraction),
 
 @given(a=q_laurent, b=st.one_of(q_laurent, q_monomials))
 def test_rf_q_power_denominators_match_euclid(a, b):
-    # Operands with denominator q^k take the shift-and-add route; each result
-    # must be the (num, den) the cross-multiplied gcd route computes.
+    # Laurent operands (den == 1) merge, convolve or shift their term dicts;
+    # each result must be the form the cross-multiplied gcd route computes.
+    an, ad = _dense_view(a)
+    bn, bd = _dense_view(b)
     cases = [
-        (a + b, padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
-        (a - b, psub(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
-        (a * b, pmul(a.num, b.num), pmul(a.den, b.den)),
-        (-a, tuple(-x for x in a.num), a.den),
+        (a + b, padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)),
+        (a - b, psub(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)),
+        (a * b, pmul(an, bn), pmul(ad, bd)),
+        (-a, tuple(-x for x in an), ad),
     ]
+    assert all(got.den == (1,) for got, _, _ in cases)
     if b:
-        cases.append((a / b, pmul(a.num, b.den), pmul(a.den, b.num)))
+        cases.append((a / b, pmul(an, bd), pmul(ad, bn)))
     for got, num, den in cases:
         want = _euclid_form(num, den)
-        assert (got.num, got.den) == want
+        assert _dense_view(got) == want
         assert hash(got) == hash(RF(*want))
-        assert all(type(x) is Fraction for x in got.num + got.den)
-        assert got.den[-1] == 1
+        _assert_canonical(got)
 
 
-def test_q_laurent_arithmetic_skips_convolutions(monkeypatch):
-    calls = []
+general_rfs = st.builds(
+    RF,
+    st.lists(small_fractions, max_size=4),
+    st.lists(small_fractions, min_size=1, max_size=4).filter(any),
+)
 
-    def counting_pmul(x, y):
-        calls.append(1)
-        return pmul(x, y)
 
-    a = RF((3, 0, -1, 2), (0, 0, 1))  # (3 - q^2 + 2q^3)/q^2
-    b = RF((Fraction(1, 2), 1), (0, 1))  # (1/2 + q)/q
-    monkeypatch.setattr(scalars, "pmul", counting_pmul)
-    a + b, a - b, -a
-    assert calls == []
-    a * b
-    assert calls == [1]
-    calls.clear()
-    a / RF.q_power(-3), a / RF((0, Fraction(-2, 3)))
-    assert calls == []
+@given(a=general_rfs, b=general_rfs)
+def test_rf_general_denominators_match_euclid(a, b):
+    # Any other denominator cross-multiplies into `_reduce` and its `pgcd`.
+    an, ad = _dense_view(a)
+    bn, bd = _dense_view(b)
+    cases = [
+        (a + b, padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)),
+        (a * b, pmul(an, bn), pmul(ad, bd)),
+    ]
+    if b:
+        cases.append((a / b, pmul(an, bd), pmul(ad, bn)))
+    for got, num, den in cases:
+        assert _dense_view(got) == _euclid_form(num, den)
+        _assert_canonical(got)
+
+
+def test_q_exponents_cost_nothing_to_store():
+    # A power of q is an exponent, not a run of zero coefficients.
+    x = RF.q_power(10**6) + RF.q_power(-10**6)
+    assert len(x.num) == 2
+    assert len((x * x).num) == 3  # q^(2N) + 2 + q^(-2N)
+    assert len((x / RF.q_power(7)).num) == 2
+    assert (x * x).num == {2 * 10**6: 1, 0: 2, -2 * 10**6: 1}
 
 
 def test_rf_str():
