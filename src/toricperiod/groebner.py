@@ -12,6 +12,17 @@ combination by a power of Y1*Y2 and rewrite that power as u^N modulo the
 relation.  Right to left: substitute u -> (Y1*Y2)^{-1}, which kills the
 relation term.)  The right-hand side is decided by a Grobner normal form.
 
+When (g1, g2) is the maximal ideal of a point (gamma, beta), as the image
+ideal (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) is at (1, 1/q), the reduced basis is
+{u - alpha, Y2 - beta, Y1 - gamma}, and the normal form of h_hat is its
+value at the point.  The point route computes it, with the same quotients
+the tracked reduction builds, by synthetic division: h_hat by Y2 - beta
+column by column, then the column values by Y1 - gamma.  Other ideals take
+the tracked normal form.  Before either, a generator that divides h alone
+gives a one-term certificate; a binomial generator linear in one variable
+is tried only if h vanishes on its root, which decides that divisibility
+exactly.
+
 Every reduction step is tracked against the original generators, so a
 successful membership test produces explicit Laurent cofactors u1, u2 with
 u1*g1 + u2*g2 = h, and the equation is re-expanded and checked before the
@@ -64,15 +75,14 @@ def _substitute_u(field, terms):
     return LaurentPoly(field, out)
 
 
-def _sub_multiple(work, reps, c, shift, entry):
-    """work -= c * x^shift * poly and reps[i] -= c * x^shift * entry_reps[i].
+def _sub_multiple(dsts, srcs, c, shift):
+    """dst -= c * x^shift * src for each pair of term dicts, in place.
 
-    entry is a basis pair (poly, entry_reps); work and reps are term dicts,
-    updated in place, and cancelled terms are dropped.
+    Cancelled terms are dropped.  Called with (work, *reps) and a basis
+    entry (poly, *entry_reps), it keeps the tracking identity.
     """
     s0, s1, s2 = shift
-    poly, entry_reps = entry
-    for dst, src in zip((work, *reps), (poly, *entry_reps)):
+    for dst, src in zip(dsts, srcs):
         for (a, b, u), v in src.items():
             key = (a + s0, b + s1, u + s2)
             if key in dst:
@@ -110,11 +120,58 @@ def _tracked_nf(poly, reps, basis):
         for (lm, lc), entry in lts:
             if _divides(lm, e):
                 shift = (e[0] - lm[0], e[1] - lm[1], e[2] - lm[2])
-                _sub_multiple(work, reps, c / lc, shift, entry)
+                _sub_multiple((work, *reps), (entry[0], *entry[1]), c / lc, shift)
                 break
         else:
             rem[e] = work.pop(e)
     return rem, reps
+
+
+# Leading monomials u, Y2, Y1 of a reduced basis {u - alpha, Y2 - beta, Y1 - gamma}.
+_POINT_LMS = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def _horner(coeffs, root):
+    """Divide sum(coeffs[k] * x^k) by x - root: ({k: quotient coefficient}, remainder)."""
+    top = max(coeffs)
+    quo = {}
+    carry = coeffs[top]
+    for k in range(top - 1, -1, -1):
+        if carry:
+            quo[k] = carry
+        c = coeffs.get(k)
+        carry = carry * root if c is None else c + carry * root
+    return quo, carry
+
+
+def _point_nf(terms, basis):
+    """What _tracked_nf returns for a u-free poly against a point basis.
+
+    basis is [u - alpha, Y2 - beta, Y1 - gamma] (leading monomials
+    _POINT_LMS) and terms is the poly as {(a, b): scalar}.  _tracked_nf
+    reduces each term that has a Y2 by Y2 - beta, the first divisor that
+    applies, and the rest by Y1 - gamma, so its quotients are the unique Q2
+    and Q1 in k[Y1] with poly = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and
+    r = poly(gamma, beta).  Horner division of each Y1-column by Y2 - beta
+    gives Q2 and the column values R(Y1) = poly(Y1, beta); dividing R by
+    Y1 - gamma gives Q1 and r.  The reps are -(Q2*reps(Y2 - beta) +
+    Q1*reps(Y1 - gamma)).
+    """
+    (y2_poly, reps2), (y1_poly, reps1) = basis[1], basis[2]
+    beta, gamma = -y2_poly[(0, 0, 0)], -y1_poly[(0, 0, 0)]
+    cols = {}
+    for (a, b), c in terms.items():
+        cols.setdefault(a, {})[b] = c
+    row = {}
+    reps = tuple({} for _ in reps2)
+    for a, col in cols.items():
+        quo, row[a] = _horner(col, beta)
+        for b, c in quo.items():
+            _sub_multiple(reps, reps2, c, (a, b, 0))
+    quo, r = _horner(row, gamma)
+    for a, c in quo.items():
+        _sub_multiple(reps, reps1, c, (a, 0, 0))
+    return ({(0, 0, 0): r} if r else {}), reps
 
 
 def _spoly(f, g, one):
@@ -122,8 +179,9 @@ def _spoly(f, g, one):
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     work = {}
     reps = tuple({} for _ in f[1])
-    _sub_multiple(work, reps, -(one / cf), tuple(l - a for l, a in zip(lcm, ef)), f)
-    _sub_multiple(work, reps, one / cg, tuple(l - a for l, a in zip(lcm, eg)), g)
+    for (poly, entry_reps), c, e in ((f, -(one / cf), ef), (g, one / cg, eg)):
+        shift = tuple(l - a for l, a in zip(lcm, e))
+        _sub_multiple((work, *reps), (poly, *entry_reps), c, shift)
     return work, reps
 
 
@@ -220,6 +278,34 @@ def _rabinowitsch_gens(g1, g2):
     return gens
 
 
+def _root_refutes(h, g):
+    """True when g is a unit times Y_v - r*Y_w^d and h does not vanish at its root.
+
+    A binomial whose two exponents differ by 1 in Y_v is such a unit
+    multiple, and A/(Y_v - r*Y_w^d) is k[Y_w^{+-1}] by Y_v -> r*Y_w^d, so
+    g divides h exactly when h vanishes after that substitution: True means
+    h.divide_exact(g) raises NotDivisible.  Any other g gives False.
+    """
+    if len(g.terms) != 2:
+        return False
+    (e, ce), (f, cf) = g.terms.items()
+    v = next((v for v in (0, 1) if abs(e[v] - f[v]) == 1), None)
+    if v is None:
+        return False
+    if e[v] < f[v]:
+        (e, ce), (f, cf) = (f, cf), (e, ce)
+    w = 1 - v
+    r, d = -cf / ce, f[w] - e[w]
+    powers, sums = {}, {}
+    for x, c in h.terms.items():
+        a = x[v]
+        if a not in powers:
+            powers[a] = r**a
+        key = x[w] + d * a
+        sums[key] = sums[key] + c * powers[a] if key in sums else c * powers[a]
+    return any(sums.values())
+
+
 class MembershipSolver:
     """Decides h in (g1, g2)*A with certificates, caching one basis per pair."""
 
@@ -235,7 +321,18 @@ class MembershipSolver:
         return hit
 
     def membership(self, h, g1, g2):
-        """Certificate if h lies in the ideal (g1, g2) of the Laurent ring, else None."""
+        """Certificate if h lies in the ideal (g1, g2) of the Laurent ring, else None.
+
+        First each generator g is tried as a lone divisor of h, giving the
+        certificate (h/g, 0) or (0, h/g); when g is a unit times
+        Y_v - r*Y_w^d, h is divided only if it vanishes at Y_v = r*Y_w^d
+        (`_root_refutes`).  Otherwise h_hat is reduced against the cached
+        basis: by synthetic division at the point when the basis is
+        {u - alpha, Y2 - beta, Y1 - gamma} (`_point_nf`), else by the
+        tracked normal form.  Both routes give the same reps, hence the same
+        certificate, and every certificate is re-expanded before it is
+        returned.
+        """
         field = h.field
         if g1.field != field or g2.field != field:
             raise FieldMismatch("membership arguments live in different fields")
@@ -248,7 +345,7 @@ class MembershipSolver:
         # Single-generator quotients first: they produce the short
         # certificates (t, 0) or (0, t) whenever one generator divides h.
         for g, shape in ((g1, True), (g2, False)):
-            if g.is_zero:
+            if g.is_zero or _root_refutes(h, g):
                 continue
             try:
                 t = h.divide_exact(g)
@@ -260,8 +357,12 @@ class MembershipSolver:
             return cert
 
         (h1, h2), hterms = h._poly_normalize()
-        h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
-        rem, reps = _tracked_nf(h_hat, ({}, {}, {}), self._basis(g1, g2))
+        basis = self._basis(g1, g2)
+        if [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS:
+            rem, reps = _point_nf(hterms, basis)
+        else:
+            h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
+            rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis)
         if rem:
             return None
 

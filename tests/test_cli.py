@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toricperiod
-from toricperiod import cli
+from toricperiod import cli, groebner
 from toricperiod.cli import main
 from toricperiod.family import f0_table, vector_to_json
 from toricperiod.laurent import ZPoly, one
@@ -226,6 +226,25 @@ def _p2_table(first_poly):
         {"class": "[1:0]", "poly": [{"c": "1", "e": [0, 0]}]},
     ]
     return {"prime": 2, "level": 1, "values": rows}
+
+
+
+def test_period_wide_exponents(tmp_path, capsys, monkeypatch):
+    # Values Y1^E, 1, Y2^E: the period has 8 terms, but its certificate has
+    # 2E+1 terms in each cofactor, so the output grows as E^2 bits.  Pinned
+    # as it stands; the point route must certify it as the tracked route does.
+    E = 200
+    doc = _p2_table([{"c": "1", "e": [E, 0]}])
+    doc["values"][2]["poly"] = [{"c": "1", "e": [0, E]}]
+    src = _write_doc(tmp_path, doc)
+    code, out, _ = run_cli(capsys, "period", "--input", src)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["lA"]) == 8
+    cert = report["certificate"]
+    assert len(cert["u1"]) == len(cert["u2"]) == 2 * E + 1
+    monkeypatch.setattr(groebner, "_POINT_LMS", None)
+    assert run_cli(capsys, "period", "--input", src) == (0, out, "")
 
 
 # json.dumps refuses an int past the 4300-digit conversion limit, so this

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricperiod import groebner
 from toricperiod.groebner import (
+    _POINT_LMS,
     Certificate,
     MembershipSolver,
     _buchberger,
     _grevlex3,
+    _leading,
+    _point_nf,
     _rabinowitsch_gens,
+    _root_refutes,
     _tracked_nf,
     bivariate_gcd,
     laurent_membership,
 )
-from toricperiod.laurent import LaurentPoly, mono, one, qpow, y1, y2, zero
+from toricperiod.laurent import LaurentPoly, NotDivisible, mono, one, qpow, y1, y2, zero
+from toricperiod.period import image_ideal, image_ideal_alt
 from toricperiod.scalars import QNumeric, QSymbolic, RationalFunction
 
 S = QSymbolic()
@@ -421,6 +427,141 @@ def test_wide_q_span_symbolic_member():
     off = h + qpow(S, E)
     assert off.evaluate_at(*at_point) != S.zero
     assert MembershipSolver().membership(off, g1, g2) is None
+
+
+# -- the point route ---------------------------------------------------------------------
+#
+# Both presentations of the image ideal have the reduced basis
+# {u - q, Y2 - 1/q, Y1 - 1}, so membership takes the point route; with
+# _POINT_LMS patched away it takes the tracked normal form instead.
+
+FIELDS = [QNumeric(2), QNumeric(3), QNumeric(5), QNumeric(7), S]
+
+
+@st.composite
+def point_queries(draw):
+    field = draw(st.sampled_from(FIELDS))
+    g1, g2 = draw(st.sampled_from([image_ideal, image_ideal_alt]))(field)
+    u1 = draw(laurent_polys(field, max_terms=4, span=3))
+    u2 = draw(laurent_polys(field, max_terms=4, span=3))
+    off = draw(laurent_polys(field, max_terms=draw(st.sampled_from([0, 0, 1, 2]))))
+    return field, g1, g2, u1 * g1 + u2 * g2 + off
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_queries())
+def test_point_route_matches_tracked_normal_form(case):
+    field, g1, g2, h = case
+    basis = MembershipSolver()._basis(g1, g2)
+    assert [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
+    if not h.is_zero:
+        _, terms = h._poly_normalize()
+        h_hat = {(a, b, 0): c for (a, b), c in terms.items()}
+        assert _point_nf(terms, basis) == _tracked_nf(h_hat, ({}, {}, {}), basis)
+    point = MembershipSolver().membership(h, g1, g2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_POINT_LMS", None)
+        tracked = MembershipSolver().membership(h, g1, g2)
+    assert (point is None) == (tracked is None)
+    if point is not None:
+        assert point.to_json() == tracked.to_json()
+
+
+def test_point_route_runs_without_tracked_normal_form(monkeypatch):
+    solvers = {}
+    for field in (N3, S):
+        for ideal in (image_ideal, image_ideal_alt):
+            solvers[field, ideal] = MembershipSolver()
+            solvers[field, ideal]._basis(*ideal(field))
+
+    def refuse(*args):
+        raise AssertionError("tracked normal form used")
+
+    monkeypatch.setattr(groebner, "_tracked_nf", refuse)
+    for (field, ideal), solver in solvers.items():
+        g1, g2 = ideal(field)
+        # divisible by neither generator, so only the basis route can answer
+        h = (one(field) - qpow(field, 1) * y2(field)) * (y1(field) + y2(field, -1))
+        h = h + (one(field) - y1(field)) * (one(field) - qpow(field, 1) * y1(field))
+        cert = solver.membership(h, g1, g2)
+        assert cert is not None and cert.holds_for(h, g1, g2)
+        assert not cert.u1.is_zero and not cert.u2.is_zero
+        assert solver.membership(h + y1(field, -3), g1, g2) is None
+
+
+def test_non_point_ideal_uses_tracked_route(monkeypatch):
+    # The three-point ideal below is not the ideal of one point, so its
+    # basis has no {u - a, Y2 - b, Y1 - c} shape.
+    g1 = y1(S, 2) - y2(S)
+    g2 = y1(S, 3) - y1(S)
+    solver = MembershipSolver()
+    solver._basis(g1, g2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _tracked_nf(*args)
+
+    def refuse(*args):
+        raise AssertionError("point route used")
+
+    monkeypatch.setattr(groebner, "_tracked_nf", counted)
+    monkeypatch.setattr(groebner, "_point_nf", refuse)
+    h = y2(S) - one(S)
+    cert = solver.membership(h, g1, g2)
+    assert cert is not None and cert.holds_for(h, g1, g2)
+    assert len(calls) == 1
+    assert solver.membership(y2(S) - qpow(S, 1), g1, g2) is None
+    assert len(calls) == 2
+
+
+# -- the root test for single-generator shortcuts ---------------------------------
+
+
+def _binomials(field):
+    """(name, g, root test applies) for generators of every shape."""
+    q = field.q_power
+    g1, g2 = image_ideal(field)
+    return [
+        ("g1", g1, True),
+        ("g2", g2, True),
+        ("1-qY2", one(field) - qpow(field, 1) * y2(field), True),
+        ("Y1^-1 Y2^3 - 3q Y2^-2", LaurentPoly(field, {(-1, 3): 1, (0, -2): 3 * q(1)}), True),
+        ("gap 2", one(field) - y1(field, 2), False),
+        ("gap 2 both", y1(field, 2) - qpow(field, 1) * y2(field, 2), False),
+        ("trinomial", one(field) - y1(field) - y2(field), False),
+    ]
+
+
+@st.composite
+def root_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    name, g, applies = draw(st.sampled_from(_binomials(field)))
+    unit = LaurentPoly.monomial(
+        field,
+        field.from_fraction(Fraction(draw(st.sampled_from([1, -1, 2, -3])), draw(st.integers(1, 3)))),
+        draw(st.integers(-3, 3)),
+        draw(st.integers(-3, 3)),
+    )
+    h = draw(laurent_polys(field, max_terms=4, span=3)) * unit * g
+    if draw(st.booleans()):
+        h = h + draw(laurent_polys(field, max_terms=2, span=3))
+    return h, unit * g, applies
+
+
+@settings(max_examples=120, deadline=None)
+@given(root_cases())
+def test_root_test_agrees_with_exact_division(case):
+    h, g, applies = case
+    try:
+        h.divide_exact(g)
+        divisible = True
+    except NotDivisible:
+        divisible = False
+    if applies:
+        assert _root_refutes(h, g) == (not divisible)
+    else:
+        assert not _root_refutes(h, g)
 
 
 # -- ideal comparison -------------------------------------------------------------------

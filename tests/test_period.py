@@ -5,10 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
-from toricperiod import period, scalars
+from toricperiod import groebner, period, scalars
 from toricperiod.cli import main
 from toricperiod.groebner import Certificate, MembershipSolver
-from toricperiod.laurent import NotDivisible, TailViolation, ZPoly, mono, one, qpow, y1, y2, zero
+from toricperiod.laurent import (
+    LaurentPoly,
+    NotDivisible,
+    TailViolation,
+    ZPoly,
+    mono,
+    one,
+    qpow,
+    y1,
+    y2,
+    zero,
+)
 from toricperiod.localfield import Mat2, diag, psi_eval, unipotent
 from toricperiod.period import (
     VerdictMismatch,
@@ -236,6 +247,29 @@ def test_wrong_solver_verdict_is_caught(monkeypatch):
     monkeypatch.setattr(period, "laurent_membership", lambda *args, **kwargs: None)
     with pytest.raises(VerdictMismatch):
         verify_image(SPH, field=S)
+
+
+
+def test_point_remainder_does_not_feed_the_oracle(monkeypatch):
+    # The oracle evaluates the period itself: a point route that wrongly
+    # reports a nonzero remainder is caught, not echoed.
+    f = random_table(3, 2, seed=13)
+    assert verify_image(f).member
+    evaluations = []
+    evaluate_at = LaurentPoly.evaluate_at
+
+    def counted(self, v1, v2):
+        evaluations.append((v1, v2))
+        return evaluate_at(self, v1, v2)
+
+    def wrong(terms, basis):
+        return {(0, 0, 0): Fraction(1)}, ({}, {}, {})
+
+    monkeypatch.setattr(LaurentPoly, "evaluate_at", counted)
+    monkeypatch.setattr(groebner, "_point_nf", wrong)
+    with pytest.raises(VerdictMismatch):
+        verify_image(f)
+    assert evaluations == [(1, Fraction(1, 3))]
 
 
 def test_wrong_member_verdict_is_caught(monkeypatch):
