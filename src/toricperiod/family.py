@@ -265,12 +265,12 @@ def random_table(p, n, seed):
     ]
     values = {}
     for cls in p1_enumerate(p, n):
-        v = LaurentPoly.zero(field)
+        terms = {}
         for _ in range(rng.randint(0, 3)):
-            v = v + LaurentPoly.monomial(
-                field, rng.choice(coeffs), rng.randint(-2, 2), rng.randint(-2, 2)
-            )
-        values[cls] = v
+            c = rng.choice(coeffs)
+            e = (rng.randint(-2, 2), rng.randint(-2, 2))
+            terms[e] = terms[e] + c if e in terms else c
+        values[cls] = LaurentPoly(field, terms)
     return TableVector(p, n, values)
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, NotDivisible, _grevlex2
+from .laurent import LaurentPoly, NotDivisible, _grevlex2, _of
 from .scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip, psub
 
 
@@ -66,13 +66,16 @@ def _leading(terms):
     return e, terms[e]
 
 
-def _substitute_u(field, terms):
-    """Image of a term dict under u -> (Y1*Y2)^{-1}, as a Laurent polynomial."""
+def _substitute_u(field, terms, shift):
+    """-Y1^s1*Y2^s2 times the image of a term dict under u -> (Y1*Y2)^{-1}.
+
+    This is a certificate cofactor read off a rep, in one pass."""
+    s1, s2 = shift
     out = {}
     for (a, b, c), v in terms.items():
-        key = (a - c, b - c)
-        out[key] = out[key] + v if key in out else v
-    return LaurentPoly(field, out)
+        key = (a - c + s1, b - c + s2)
+        out[key] = out[key] - v if key in out else -v
+    return _of(field, {e: v for e, v in out.items() if v})
 
 
 def _sub_multiple(dsts, srcs, c, shift):
@@ -368,13 +371,12 @@ class MembershipSolver:
 
         # h_hat == -sum(reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
         # kills the relation generator and leaves Laurent cofactors for the
-        # normalized pair, which the monomial units then carry back to (g1, g2).
+        # normalized pair, which the units -Y^(h - d) carry back to (g1, g2).
         cofs = []
         for g, rep in zip((g1, g2), reps[:2]):
             (d1, d2), _ = g._poly_normalize()
-            unit = LaurentPoly.monomial(field, -field.one, h1 - d1, h2 - d2)
-            cofs.append(unit * _substitute_u(field, rep))
-        cert = Certificate(cofs[0], cofs[1])
+            cofs.append(_substitute_u(field, rep, (h1 - d1, h2 - d2)))
+        cert = Certificate(*cofs)
         if not cert.holds_for(h, g1, g2):
             raise CertificateError(f"basis certificate failed for {h}")
         return cert

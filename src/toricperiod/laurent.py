@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import FieldMismatch, NotInvertible
+from .scalars import FieldMismatch, NotInvertible, add_terms
 
 
 class NotDivisible(ArithmeticError):
@@ -39,11 +39,20 @@ def _grevlex2(e):
     return (e[0] + e[1], e[0])
 
 
+def _of(field, terms):
+    """LaurentPoly over field with terms as is: a fresh dict of int exponent
+    pairs to nonzero scalars of field, which is not checked or coerced."""
+    out = object.__new__(LaurentPoly)
+    out.field, out.terms = field, terms
+    return out
+
+
 class LaurentPoly:
     """Sparse two-variable Laurent polynomial over a fixed field descriptor.
 
     Terms map exponent pairs (e1, e2) to nonzero scalars.  All operators
-    demand equal descriptors; use embed to move between fields.
+    demand equal descriptors; use embed to move between fields.  The
+    constructor checks outside input; the arithmetic builds through `_of`.
     """
 
     __slots__ = ("field", "terms")
@@ -100,25 +109,12 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        zero = self.field.zero
-        for e, c in o.terms.items():
-            s = terms.get(e, zero) + c
-            if s == zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.field, out.terms = self.field, terms
-        return out
+        return _of(self.field, add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.field = self.field
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _of(self.field, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -146,9 +142,7 @@ class LaurentPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.field, out.terms = self.field, terms
-        return out
+        return _of(self.field, terms)
 
     __rmul__ = __mul__
 
@@ -156,10 +150,11 @@ class LaurentPoly:
         c = self.field.coerce(scalar)
         if c == self.field.zero:
             return LaurentPoly.zero(self.field)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.field = self.field
-        out.terms = {e: v * c for e, v in self.terms.items()}
-        return out
+        return _of(self.field, {e: v * c for e, v in self.terms.items()})
+
+    def shift(self, e1, e2):
+        """self * Y1^e1 * Y2^e2."""
+        return _of(self.field, {(a + e1, b + e2): c for (a, b), c in self.terms.items()})
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -214,8 +209,7 @@ class LaurentPoly:
             t = (lt_r[0] - lt_d[0], lt_r[1] - lt_d[1])
             if t[0] < 0 or t[1] < 0:
                 raise NotDivisible(f"{self} is not divisible by {divisor}")
-            c = rem[lt_r] / cd
-            quo[t] = quo.get(t, zero) + c
+            c = quo[t] = rem[lt_r] / cd
             for e, v in dterms.items():
                 key = (e[0] + t[0], e[1] + t[1])
                 s = rem.get(key, zero) - c * v
@@ -223,18 +217,14 @@ class LaurentPoly:
                     rem.pop(key, None)
                 else:
                     rem[key] = s
-        shift = (h1 - d1, h2 - d2)
-        return LaurentPoly(
-            self.field,
-            {(e[0] + shift[0], e[1] + shift[1]): c for e, c in quo.items()},
-        )
+        return _of(self.field, quo).shift(h1 - d1, h2 - d2)
 
     # -- coefficient maps ------------------------------------------------------
 
     def embed(self, new_field):
         """Carry rational coefficients over to another field (raises NotRational)."""
         rational_part = self.field.rational_part
-        return LaurentPoly(
+        return _of(
             new_field,
             {e: new_field.from_fraction(rational_part(c)) for e, c in self.terms.items()},
         )
@@ -259,7 +249,7 @@ class LaurentPoly:
             parts = []
             negative = False
             qshift = Fraction(-(e1 + e2), 2) if x_coords else Fraction(0)
-            if self.field.kind == "numeric":
+            if not self.field.is_symbolic:
                 negative = c < 0
                 mag = abs(c)
                 if mag != 1:
@@ -309,7 +299,7 @@ class LaurentPoly:
 
     def to_json_terms(self):
         return [
-            {"c": self.field.scalar_str(c), "e": [e1, e2]}
+            {"c": str(c), "e": [e1, e2]}
             for (e1, e2), c in self.sorted_terms()
         ]
 

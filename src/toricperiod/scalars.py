@@ -130,8 +130,8 @@ _F1 = Fraction(1)
 _DEN1 = (_F1,)
 
 
-def _merge(a, b):
-    """a + b for term dicts."""
+def add_terms(a, b):
+    """a + b as a fresh dict, for term dicts with nonzero values (also LaurentPoly's)."""
     if len(a) < len(b):
         a, b = b, a
     out = dict(a)
@@ -257,8 +257,8 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         if self.den == _DEN1 == o.den:
-            return _new(_merge(self.num, o.num))
-        num = _merge(_convolve(self.num, _terms(o.den)), _convolve(o.num, _terms(self.den)))
+            return _new(add_terms(self.num, o.num))
+        num = add_terms(_convolve(self.num, _terms(o.den)), _convolve(o.num, _terms(self.den)))
         return _new(*_reduce(num, pmul(self.den, o.den)))
 
     __radd__ = __add__
@@ -504,7 +504,6 @@ class QNumeric:
     """Rationals with the residue field size q specialized to a prime."""
 
     is_symbolic = False
-    kind = "numeric"
     __slots__ = ("q",)
 
     def __init__(self, q):
@@ -537,9 +536,6 @@ class QNumeric:
     def rational_part(self, x):
         return Fraction(x)
 
-    def scalar_str(self, x):
-        return str(x)
-
     def __eq__(self, other):
         return isinstance(other, QNumeric) and other.q == self.q
 
@@ -554,7 +550,6 @@ class QSymbolic:
     """Rational functions in a formal q."""
 
     is_symbolic = True
-    kind = "symbolic"
     __slots__ = ()
 
     @property
@@ -580,9 +575,6 @@ class QSymbolic:
 
     def rational_part(self, x):
         return self.coerce(x).as_fraction()
-
-    def scalar_str(self, x):
-        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, QSymbolic)

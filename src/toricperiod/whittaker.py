@@ -161,7 +161,7 @@ def big_cell_profile(f):
     for v, total in sums.items():
         s = total - identity.scale(counts[v])
         if v < 0:
-            s = sph_big_cell_value(field, -v).scale(p ** (-2 * v)) * s
+            s = s.shift(-v, v).scale(field.q_power(v) * p ** (-2 * v))
         if not s.is_zero:
             shells[v] = s
     return BigCellProfile(p, L, identity, at_weyl, shells)
@@ -200,7 +200,7 @@ def period_parts(f, field=None):
     identity, steps = _identity_and_steps(f, field)
     u = LaurentPoly.zero(field)
     for k, d in steps.items():
-        u = u + LaurentPoly.monomial(field, field.one, 0, k) * d
+        u = u + d.shift(0, k)
     return identity, u
 
 
@@ -217,5 +217,5 @@ def whittaker_coefficient(f, k, field=None, profile=None):
     out = identity * cs_factor_regularized(field) * shintani_sph(field, k)
     j = sum((d for i, d in steps.items() if i <= k), LaurentPoly.zero(field))
     if not j.is_zero:
-        out = out + LaurentPoly.monomial(field, field.one, 0, k) * j
+        out = out + j.shift(0, k)
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -128,6 +129,27 @@ def test_theorem_deterministic(tmp_path):
         )
         assert code == 0
     assert _strip_timing(a.read_text()) == _strip_timing(b.read_text())
+
+
+# sha256 of the theorem rows over the whole grid, p in {2, 3, 5, 7} x level
+# in {1, 2, 3} with --trials 5 --seed 4, each row with elapsed_ms dropped and
+# dumped with sorted keys.  Recorded before LaurentPoly gained its trusted
+# constructor, so it pins random_table's draw order and every certificate
+# across commits; test_theorem_deterministic compares two runs of one commit.
+_THEOREM_GRID_SHA256 = "4b0a54a4f90c6105f00e66a66b67e2ff3725f43e768270b6230a133c1df30330"
+
+
+def test_theorem_grid_is_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 7):
+        for level in (1, 2, 3):
+            target = tmp_path / f"theorem-{p}-{level}.jsonl"
+            argv = ["theorem", "--p", str(p), "--level", str(level),
+                    "--trials", "5", "--seed", "4", "--out", str(target)]
+            assert main(argv) == 0
+            for row in _strip_timing(target.read_text()):
+                digest.update(row.encode() + b"\n")
+    assert digest.hexdigest() == _THEOREM_GRID_SHA256
 
 
 def test_theorem_usage_errors():

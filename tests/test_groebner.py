@@ -16,6 +16,7 @@ from toricperiod.groebner import (
     _point_nf,
     _rabinowitsch_gens,
     _root_refutes,
+    _substitute_u,
     _tracked_nf,
     bivariate_gcd,
     laurent_membership,
@@ -198,6 +199,16 @@ def test_zero_and_degenerate_inputs():
     assert solver.membership(g1, zero(N3), zero(N3)) is None
     c = solver.membership(g1 * y1(N3, -2), g1, zero(N3))
     assert c is not None and c.holds_for(g1 * y1(N3, -2), g1, zero(N3))
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_substitute_u_shifts_negates_and_drops_cancelled_terms(field):
+    # u*Y1*Y2 and 1 land on the same Laurent monomial; their sum cancels there.
+    one_ = field.one
+    rep = {(1, 1, 1): one_, (0, 0, 0): -one_, (2, 0, 1): 3 * one_, (0, 2, 0): one_}
+    got = _substitute_u(field, rep, (-1, 2))
+    assert got.terms == {(0, 1): -3 * one_, (-1, 4): -one_}
+    assert got == -(LaurentPoly(field, {(1, -1): 3 * one_, (0, 2): one_}) * mono(field, 1, -1, 2))
 
 
 def test_basis_cache_reused():

@@ -1,8 +1,12 @@
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from toricperiod import laurent
 from toricperiod.laurent import (
     LaurentPoly,
     NotDivisible,
@@ -63,6 +67,26 @@ def test_ring_axioms():
             assert a * (b + c) == a * b + a * c
             assert a + 0 == a
             assert a * 1 == a
+            e1, e2 = rng.randint(-3, 3), rng.randint(-3, 3)
+            assert a.shift(e1, e2) == a * LaurentPoly.monomial(field, field.one, e1, e2)
+
+
+def test_only_of_skips_the_checked_constructor():
+    # laurent._of is the one place a LaurentPoly is built without coercion;
+    # anything else in the package goes through LaurentPoly(field, terms).
+    src = Path(laurent.__file__).resolve().parent
+    unchecked = re.compile(r"object\.__new__\(\s*LaurentPoly\b|LaurentPoly\.__new__")
+    tree = ast.parse((src / "laurent.py").read_text())
+    of = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_of")
+    inside, outside = 0, []
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if unchecked.search(line):
+                if path.name == "laurent.py" and of.lineno <= lineno <= of.end_lineno:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{lineno}")
+    assert inside == 1 and outside == []
 
 
 def test_field_mismatch_guard():

@@ -32,7 +32,12 @@ from toricperiod.period import (
     zeta_window,
 )
 from toricperiod.scalars import FieldMismatch, QNumeric, QSymbolic
-from toricperiod.whittaker import cs_factor_regularized, period_parts
+from toricperiod.whittaker import (
+    big_cell_profile,
+    cs_factor_regularized,
+    period_parts,
+    whittaker_coefficient,
+)
 
 S = QSymbolic()
 
@@ -211,6 +216,53 @@ def test_verify_image_on_random_tables(p, n, seed):
     assert report.member
     g1, g2 = image_ideal(QNumeric(p))
     assert report.certificate.holds_for(report.la, g1, g2)
+
+
+def _assert_canonical(value):
+    """The invariant laurent._of trusts: int exponent pairs, nonzero field scalars."""
+    field = value.field
+    for (e1, e2), c in value.terms.items():
+        assert type(e1) is int and type(e2) is int
+        assert type(c) is type(field.one) and c != field.zero
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)] + [pytest.param(None, None, id="symbolic")],
+)
+def test_engine_values_are_canonical(monkeypatch, p, n):
+    # The arithmetic wraps its results with laurent._of, which neither checks
+    # nor coerces, so every value the engine returns is held to that
+    # invariant here: random tables over the grid, the markers over QSymbolic,
+    # and a table stored over QSymbolic (its values are embedded).
+    quotients = []
+    divide_exact = LaurentPoly.divide_exact
+
+    def recording(self, divisor):
+        quotients.append(divide_exact(self, divisor))
+        return quotients[-1]
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", recording)
+    if p is None:
+        cases = [(SPH, S), (PHI_W, S), (f0_table(S, 3, 2), None)]
+    else:
+        cases = [(random_table(p, n, seed=seed), None) for seed in range(3)]
+    for f, field in cases:
+        identity, u = period_parts(f, field)
+        report = verify_image(f, field)
+        g1, _ = image_ideal(report.la.field)
+        values = [identity, u, report.la, report.certificate.u1, report.certificate.u2]
+        values.append((g1 * report.la).divide_exact(g1))
+        ratio = spherical_ratio(f, field)
+        if ratio is not None:
+            values.append(ratio)
+        values += [whittaker_coefficient(f, k, field) for k in (-1, 0, 2)]
+        if field is None:
+            profile = big_cell_profile(f)
+            values += [profile.identity, profile.at_weyl, *profile.shells.values()]
+        for value in values + quotients:
+            _assert_canonical(value)
+    assert quotients
 
 
 def test_pipeline_forms_no_character_value(monkeypatch, capsys):
