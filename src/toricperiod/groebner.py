@@ -37,6 +37,16 @@ cofactor, so a step costs the size of the basis element it subtracts, not
 the size of everything reduced so far.  The leading-term choice and the
 divisor order are fixed (grevlex maximum, first divisor in basis order), so
 with canonical scalars the certificates do not depend on that bookkeeping.
+
+The image ideal's generators, its reduced basis and the basis reps have
+only the coefficients +-1 and +-q^{+-1}, so the kernels give unit and
+q-monomial factors no scalar product: `_sub_multiple` passes a basis
+coefficient +-1 on as -c or c, `_horner` and `_root_refutes` skip the
+powers of a root equal to one (gamma = 1 here), the Laurent product in
+`Certificate.holds_for` passes inner scalars on as they are for an outer
++-1, and over QSymbolic a factor c*q^m is a shift of exponents.  The check
+itself is unchanged: every certificate is re-expanded in full, term by
+term, over exact scalars.
 """
 
 from __future__ import annotations
@@ -78,27 +88,32 @@ def _substitute_u(field, terms, shift):
     return _of(field, {e: v for e, v in out.items() if v})
 
 
-def _sub_multiple(dsts, srcs, c, shift):
+def _sub_multiple(dsts, srcs, c, shift, units):
     """dst -= c * x^shift * src for each pair of term dicts, in place.
 
     Cancelled terms are dropped.  Called with (work, *reps) and a basis
-    entry (poly, *entry_reps), it keeps the tracking identity.
+    entry (poly, *entry_reps), it keeps the tracking identity.  units is
+    the field's (one, -one); a source coefficient equal to either
+    contributes -c or c with no product.
     """
     s0, s1, s2 = shift
+    one, minus_one = units
+    minus_c = -c
     for dst, src in zip(dsts, srcs):
         for (a, b, u), v in src.items():
             key = (a + s0, b + s1, u + s2)
+            t = minus_c if v == one else c if v == minus_one else v * minus_c
             if key in dst:
-                left = dst[key] - v * c
+                left = dst[key] + t
                 if left:
                     dst[key] = left
                 else:
                     del dst[key]
             else:
-                dst[key] = -(v * c)
+                dst[key] = t
 
 
-def _tracked_nf(poly, reps, basis):
+def _tracked_nf(poly, reps, basis, one):
     """Fully reduce poly against basis, preserving the tracking identity.
 
     Returns (remainder, reps) as fresh term dicts; the inputs are not
@@ -112,7 +127,9 @@ def _tracked_nf(poly, reps, basis):
     Each step takes the grevlex-largest term of the working polynomial and
     the first basis element, in basis order, whose leading monomial divides
     it, so the remainder and the reps do not depend on how the dicts are kept.
+    one is the field's unit scalar.
     """
+    units = (one, -one)
     work = dict(poly)
     reps = tuple(dict(r) for r in reps)
     rem = {}
@@ -123,7 +140,7 @@ def _tracked_nf(poly, reps, basis):
         for (lm, lc), entry in lts:
             if _divides(lm, e):
                 shift = (e[0] - lm[0], e[1] - lm[1], e[2] - lm[2])
-                _sub_multiple((work, *reps), (entry[0], *entry[1]), c / lc, shift)
+                _sub_multiple((work, *reps), (entry[0], *entry[1]), c / lc, shift, units)
                 break
         else:
             rem[e] = work.pop(e)
@@ -134,16 +151,22 @@ def _tracked_nf(poly, reps, basis):
 _POINT_LMS = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
-def _horner(coeffs, root):
-    """Divide sum(coeffs[k] * x^k) by x - root: ({k: quotient coefficient}, remainder)."""
+def _horner(coeffs, root, one):
+    """Divide sum(coeffs[k] * x^k) by x - root: ({k: quotient coefficient}, remainder).
+
+    A root equal to one (the field's one) costs no products."""
+    unit = root == one
     top = max(coeffs)
     quo = {}
     carry = coeffs[top]
     for k in range(top - 1, -1, -1):
         if carry:
             quo[k] = carry
+        if not unit:
+            carry = carry * root
         c = coeffs.get(k)
-        carry = carry * root if c is None else c + carry * root
+        if c is not None:
+            carry = c + carry
     return quo, carry
 
 
@@ -162,18 +185,20 @@ def _point_nf(terms, basis):
     """
     (y2_poly, reps2), (y1_poly, reps1) = basis[1], basis[2]
     beta, gamma = -y2_poly[(0, 0, 0)], -y1_poly[(0, 0, 0)]
+    one = y2_poly[(0, 1, 0)]  # the reduced basis is monic
+    units = (one, -one)
     cols = {}
     for (a, b), c in terms.items():
         cols.setdefault(a, {})[b] = c
     row = {}
     reps = tuple({} for _ in reps2)
     for a, col in cols.items():
-        quo, row[a] = _horner(col, beta)
+        quo, row[a] = _horner(col, beta, one)
         for b, c in quo.items():
-            _sub_multiple(reps, reps2, c, (a, b, 0))
-    quo, r = _horner(row, gamma)
+            _sub_multiple(reps, reps2, c, (a, b, 0), units)
+    quo, r = _horner(row, gamma, one)
     for a, c in quo.items():
-        _sub_multiple(reps, reps1, c, (a, 0, 0))
+        _sub_multiple(reps, reps1, c, (a, 0, 0), units)
     return ({(0, 0, 0): r} if r else {}), reps
 
 
@@ -182,9 +207,10 @@ def _spoly(f, g, one):
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     work = {}
     reps = tuple({} for _ in f[1])
+    units = (one, -one)
     for (poly, entry_reps), c, e in ((f, -(one / cf), ef), (g, one / cg, eg)):
         shift = tuple(l - a for l, a in zip(lcm, e))
-        _sub_multiple((work, *reps), (poly, *entry_reps), c, shift)
+        _sub_multiple((work, *reps), (poly, *entry_reps), c, shift, units)
     return work, reps
 
 
@@ -216,7 +242,7 @@ def _buchberger(gens, one):
         eb = _leading(basis[j][0])[0]
         if all(min(x, y) == 0 for x, y in zip(ea, eb)):
             continue
-        r = _tracked_nf(*_spoly(basis[i], basis[j], one), basis)
+        r = _tracked_nf(*_spoly(basis[i], basis[j], one), basis, one)
         if r[0]:
             basis.append(r)
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
@@ -236,7 +262,7 @@ def _buchberger(gens, one):
 
     for i, t in enumerate(keep):
         rest = keep[:i] + keep[i + 1 :]
-        poly, reps = _tracked_nf(*t, rest) if rest else t
+        poly, reps = _tracked_nf(*t, rest, one) if rest else t
         s = one / _leading(poly)[1]
         keep[i] = (
             {e: v * s for e, v in poly.items()},
@@ -299,13 +325,16 @@ def _root_refutes(h, g):
         (e, ce), (f, cf) = (f, cf), (e, ce)
     w = 1 - v
     r, d = -cf / ce, f[w] - e[w]
+    unit = r == h.field.one
     powers, sums = {}, {}
     for x, c in h.terms.items():
         a = x[v]
-        if a not in powers:
-            powers[a] = r**a
+        if not unit:
+            if a not in powers:
+                powers[a] = r**a
+            c = c * powers[a]
         key = x[w] + d * a
-        sums[key] = sums[key] + c * powers[a] if key in sums else c * powers[a]
+        sums[key] = sums[key] + c if key in sums else c
     return any(sums.values())
 
 
@@ -365,7 +394,7 @@ class MembershipSolver:
             rem, reps = _point_nf(hterms, basis)
         else:
             h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
-            rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis)
+            rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis, field.one)
         if rem:
             return None
 

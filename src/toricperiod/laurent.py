@@ -129,19 +129,40 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other):
+        """Product by term pairs, the shorter factor in the outer loop.
+
+        A unit factor costs no scalar product: an outer coefficient equal to
+        the field's one or -one passes each inner scalar on as it is or
+        negated.  Over QSymbolic a q-monomial coefficient c*q^m costs a shift
+        of the other scalar's exponents (see `RationalFunction.__mul__`).
+        The first hit on an exponent is stored as it comes; keys whose sum
+        cancels are dropped.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        zero = self.field.zero
+        outer, inner = self.terms, o.terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        one = self.field.one
+        minus_one = -one
         terms = {}
-        for (a1, a2), c in self.terms.items():
-            for (b1, b2), d in o.terms.items():
+        for (a1, a2), c in outer.items():
+            plain = c == one
+            negate = not plain and c == minus_one
+            for (b1, b2), d in inner.items():
+                if not plain:
+                    d = -d if negate else c * d
                 e = (a1 + b1, a2 + b2)
-                s = terms.get(e, zero) + c * d
-                if s == zero:
-                    terms.pop(e, None)
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = d
                 else:
-                    terms[e] = s
+                    s = s + d
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
         return _of(self.field, terms)
 
     __rmul__ = __mul__

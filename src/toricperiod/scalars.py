@@ -127,6 +127,7 @@ def peval(a, x):
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_FM1 = Fraction(-1)
 _DEN1 = (_F1,)
 
 
@@ -134,7 +135,11 @@ def add_terms(a, b):
     """a + b as a fresh dict, for term dicts with nonzero values (also LaurentPoly's)."""
     if len(a) < len(b):
         a, b = b, a
-    out = dict(a)
+    return add_into(dict(a), b)
+
+
+def add_into(out, b):
+    """out += b in place for term dicts with nonzero values; returns out."""
     for e, c in b.items():
         if e in out:
             c += out.pop(e)
@@ -220,8 +225,9 @@ class RationalFunction:
     num.  Zero is ({}, (1,)).
 
     Every value the engine forms is a Laurent polynomial, den == (1,): `+`
-    merges term dicts, `*` convolves them and `/` by c*q^m scales and
-    shifts.  Any other operand cross-multiplies into `_reduce`.
+    merges term dicts, `*` convolves them, and `*` or `/` by c*q^m scales
+    and shifts (no scale for c = 1, a negation for c = -1).  Any other
+    operand cross-multiplies into `_reduce`.
     """
 
     __slots__ = ("num", "den")
@@ -282,10 +288,19 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _convolve(self.num, o.num)
         if self.den == _DEN1 == o.den:
-            return _new(num)
-        return _new(*_reduce(num, pmul(self.den, o.den)))
+            a, b = self.num, o.num
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) != 1:
+                return _new(_convolve(a, b))
+            ((m, c),) = a.items()
+            if c == _F1:
+                return _new({e + m: x for e, x in b.items()})
+            if c == _FM1:
+                return _new({e + m: -x for e, x in b.items()})
+            return _new({e + m: x * c for e, x in b.items()})
+        return _new(*_reduce(_convolve(self.num, o.num), pmul(self.den, o.den)))
 
     __rmul__ = __mul__
 

@@ -65,7 +65,7 @@ from .family import (
     vector_field,
     vector_prime,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _of
 from .localfield import (
     P1Class,
     coset_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count cosets)
@@ -73,7 +73,7 @@ from .localfield import (
     unit_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count unit enumeration)
     valuation,
 )
-from .scalars import QNumeric
+from .scalars import QNumeric, add_into
 
 
 def shintani_sph(field, k):
@@ -133,9 +133,10 @@ def big_cell_profile(f):
     [u^{-1} : 1] with v(u^{-1}) = m, and each such class is hit by p^{2m}
     of the cosets u + p^L Z_p.  With a = f(1), the value on [0 : 1], every
     shell is one sum of T[c] - a over the classes c of one kind and one
-    valuation: p^L + p^{L-1} table reads and no group element.  A
-    translate or combination is first tabulated at its invariance level,
-    where the table is exact.
+    valuation: p^L + p^{L-1} table reads, each merged in place into one
+    term dict per valuation, and no group element.  A translate or
+    combination is first tabulated at its invariance level, where the
+    table is exact.
     """
     p = vector_prime(f)
     if p is None:
@@ -153,13 +154,13 @@ def big_cell_profile(f):
         v = valuation(cls.rep, p)
         if not cls.at_infinity:
             v = -v  # [c : 1] holds the u with u^{-1} = c mod p^L
-        sums[v] = sums[v] + value if v in sums else value
+        add_into(sums.setdefault(v, {}), value.terms)
         counts[v] = counts.get(v, 0) + 1
     identity = values[P1Class(p, L, False, 0)]
     at_weyl = values[P1Class(p, L, True, 0)] - identity
     shells = {}
-    for v, total in sums.items():
-        s = total - identity.scale(counts[v])
+    for v, terms in sums.items():
+        s = _of(field, terms) - identity.scale(counts[v])
         if v < 0:
             s = s.shift(-v, v).scale(field.q_power(v) * p ** (-2 * v))
         if not s.is_zero:

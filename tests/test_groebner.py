@@ -119,10 +119,10 @@ def test_normal_form_is_idempotent_and_tracked():
             for _ in range(4)
         }
         h = {e: c for e, c in terms.items() if c != N3.zero}
-        rem, reps = _tracked_nf(h, ({}, {}, {}), basis)
+        rem, reps = _tracked_nf(h, ({}, {}, {}), basis, N3.one)
         # h = remainder - sum(reps[i] * gens[i])
         assert combine3(N3, [({(0, 0, 0): N3.one}, h), *zip(reps, gens)]) == rem
-        again, _ = _tracked_nf(rem, ({}, {}, {}), basis)
+        again, _ = _tracked_nf(rem, ({}, {}, {}), basis, N3.one)
         assert again == rem
 
 
@@ -468,7 +468,7 @@ def test_point_route_matches_tracked_normal_form(case):
     if not h.is_zero:
         _, terms = h._poly_normalize()
         h_hat = {(a, b, 0): c for (a, b), c in terms.items()}
-        assert _point_nf(terms, basis) == _tracked_nf(h_hat, ({}, {}, {}), basis)
+        assert _point_nf(terms, basis) == _tracked_nf(h_hat, ({}, {}, {}), basis, field.one)
     point = MembershipSolver().membership(h, g1, g2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_POINT_LMS", None)
@@ -476,6 +476,13 @@ def test_point_route_matches_tracked_normal_form(case):
     assert (point is None) == (tracked is None)
     if point is not None:
         assert point.to_json() == tracked.to_json()
+
+
+def _basis_only_member(field):
+    """A member of the image ideal that neither generator divides, so only
+    the basis route can answer."""
+    h = (one(field) - qpow(field, 1) * y2(field)) * (y1(field) + y2(field, -1))
+    return h + (one(field) - y1(field)) * (one(field) - qpow(field, 1) * y1(field))
 
 
 def test_point_route_runs_without_tracked_normal_form(monkeypatch):
@@ -491,13 +498,53 @@ def test_point_route_runs_without_tracked_normal_form(monkeypatch):
     monkeypatch.setattr(groebner, "_tracked_nf", refuse)
     for (field, ideal), solver in solvers.items():
         g1, g2 = ideal(field)
-        # divisible by neither generator, so only the basis route can answer
-        h = (one(field) - qpow(field, 1) * y2(field)) * (y1(field) + y2(field, -1))
-        h = h + (one(field) - y1(field)) * (one(field) - qpow(field, 1) * y1(field))
+        h = _basis_only_member(field)
         cert = solver.membership(h, g1, g2)
         assert cert is not None and cert.holds_for(h, g1, g2)
         assert not cert.u1.is_zero and not cert.u2.is_zero
         assert solver.membership(h + y1(field, -3), g1, g2) is None
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_tampered_certificate_fails_the_check(field):
+    # holds_for re-expands u1*g1 + u2*g2 in full: a +-1 or +-q^m coefficient
+    # of either cofactor changed (sign flipped or doubled), or one term
+    # added, must make it fail.
+    g1, g2 = image_ideal(field)
+    h = _basis_only_member(field)
+    cert = MembershipSolver().membership(h, g1, g2)
+    assert cert.holds_for(h, g1, g2)
+    units = [field.one, -field.one]
+    q_monomials = [c * field.q_power(m) for c in units for m in (-2, -1, 1, 2)]
+    seen = {"unit": 0, "q-monomial": 0}
+    for i, u in enumerate((cert.u1, cert.u2)):
+        tampered = [u + LaurentPoly.monomial(field, field.one, 9, 9)]
+        for e, c in u.terms.items():
+            kind = "unit" if c in units else "q-monomial" if c in q_monomials else None
+            if kind is not None:
+                seen[kind] += 1
+                tampered += [LaurentPoly(field, {**u.terms, e: new}) for new in (-c, c + c)]
+        for bad in tampered:
+            cofs = [cert.u1, cert.u2]
+            cofs[i] = bad
+            assert not Certificate(*cofs).holds_for(h, g1, g2)
+    assert seen["unit"] and seen["q-monomial"]
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_wrong_point_rep_raises_certificate_error(field, monkeypatch):
+    # A point route that returns a wrong rep yields a certificate that fails
+    # its re-expansion; membership raises instead of returning it.
+    g1, g2 = image_ideal(field)
+    point_nf = groebner._point_nf
+
+    def wrong(terms, basis):
+        rem, reps = point_nf(terms, basis)
+        return rem, ({**reps[0], (7, 7, 0): field.one}, *reps[1:])
+
+    monkeypatch.setattr(groebner, "_point_nf", wrong)
+    with pytest.raises(groebner.CertificateError):
+        MembershipSolver().membership(_basis_only_member(field), g1, g2)
 
 
 def test_non_point_ideal_uses_tracked_route(monkeypatch):

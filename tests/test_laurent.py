@@ -89,6 +89,86 @@ def test_only_of_skips_the_checked_constructor():
     assert inside == 1 and outside == []
 
 
+# -- the product against a schoolbook reference ---------------------------------
+
+
+def _q_terms(field, c):
+    """A scalar as plain data, {q-exponent: Fraction}: a Fraction c is {0: c}."""
+    if not field.is_symbolic:
+        return {0: c}
+    assert c.den == (1,)
+    return dict(c.num)
+
+
+def schoolbook(field, a, b):
+    """a * b as {(e1, e2): {q-exponent: Fraction}} with zeros dropped.
+
+    Every term pair is multiplied out on plain dicts, so no code of laurent
+    or of RationalFunction arithmetic takes part.
+    """
+    out = {}
+    for (a1, a2), c in a.terms.items():
+        for (b1, b2), d in b.terms.items():
+            acc = out.setdefault((a1 + b1, a2 + b2), {})
+            for i, x in _q_terms(field, c).items():
+                for j, y in _q_terms(field, d).items():
+                    acc[i + j] = acc.get(i + j, 0) + x * y
+    out = {e: {k: v for k, v in acc.items() if v} for e, acc in out.items()}
+    return {e: acc for e, acc in out.items() if acc}
+
+
+def _reference_coefficient(rng, field):
+    """+-1, +-q^m or a general scalar, in equal shares."""
+    sign = Fraction(rng.choice((1, -1)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return field.from_fraction(sign)
+    if kind == 1:
+        return field.from_fraction(sign) * field.q_power(rng.choice((-2, -1, 1, 2)))
+    general = field.from_fraction(sign * Fraction(rng.randint(2, 9), rng.randint(1, 4)))
+    return general + field.q_power(rng.randint(-2, 2)) if field.is_symbolic else general
+
+
+def _reference_operand(rng, field, size, span):
+    terms = {}
+    for _ in range(size):
+        e = (rng.randint(-span, span), rng.randint(-span, span))
+        terms[e] = _reference_coefficient(rng, field)
+    return LaurentPoly(field, terms)
+
+
+def _telescoping(field, c, n):
+    """(1 - c*Y1*Y2^-1, sum of c^k Y1^k Y2^-k for k < n): their product is
+    1 - c^n Y1^n Y2^-n, every other key cancels."""
+    terms, power = {}, field.one
+    for k in range(n):
+        terms[(k, -k)] = power
+        power = power * c
+    return one(field) - LaurentPoly.monomial(field, c, 1, -1), LaurentPoly(field, terms)
+
+
+def test_product_matches_schoolbook_reference():
+    rng = random.Random(131)
+    for field in (S, N3):
+        pairs = []
+        for _ in range(60):
+            short = _reference_operand(rng, field, rng.randint(1, 3), 4)
+            long = _reference_operand(rng, field, rng.randint(15, 40), 4)
+            pairs.append((short, long))
+        for c in (field.one, -field.one, field.q_power(-1), -field.q_power(1),
+                  field.from_fraction(Fraction(-2, 3))):
+            pairs.append(_telescoping(field, c, rng.randint(2, 12)))
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                product = x * y
+                assert all(c != field.zero for c in product.terms.values())
+                assert {e: _q_terms(field, c) for e, c in product.terms.items()} == schoolbook(
+                    field, x, y
+                )
+        g, s = _telescoping(field, field.q_power(-1), 5)
+        assert g * s == one(field) - LaurentPoly.monomial(field, field.q_power(-5), 5, -5)
+
+
 def test_field_mismatch_guard():
     with pytest.raises(FieldMismatch):
         one(S) + one(N3)

@@ -205,20 +205,27 @@ q_laurent = st.builds(
     st.lists(small_fractions, max_size=6),
     st.integers(0, 5),
 )
-q_monomials = st.builds(RF.__mul__, nonzero_fractions.map(RF.from_fraction),
-                        st.integers(-4, 4).map(RF.q_power))
+# c * q^m built from its coefficient tuples, with c = 1 and c = -1 drawn often.
+q_monomials = st.builds(
+    lambda c, m: RF((0,) * m + (c,)) if m >= 0 else RF((c,), (0,) * -m + (1,)),
+    st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), nonzero_fractions),
+    st.integers(-4, 4),
+)
 
 
 @given(a=q_laurent, b=st.one_of(q_laurent, q_monomials))
 def test_rf_q_power_denominators_match_euclid(a, b):
-    # Laurent operands (den == 1) merge, convolve or shift their term dicts;
-    # each result must be the form the cross-multiplied gcd route computes.
+    # Laurent operands (den == 1) merge, convolve or shift their term dicts,
+    # and a product with c * q^m on either side is a shift (and a scale
+    # unless c = 1); each result must be the form the cross-multiplied gcd
+    # route computes.
     an, ad = _dense_view(a)
     bn, bd = _dense_view(b)
     cases = [
         (a + b, padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)),
         (a - b, psub(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)),
         (a * b, pmul(an, bn), pmul(ad, bd)),
+        (b * a, pmul(bn, an), pmul(bd, ad)),
         (-a, tuple(-x for x in an), ad),
     ]
     assert all(got.den == (1,) for got, _, _ in cases)
