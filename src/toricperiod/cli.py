@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .family import (
     PHI_W,
@@ -182,7 +183,6 @@ def cmd_identities(args):
 def cmd_theorem(args):
     p, n = args.p, args.level
     field = QNumeric(p)
-    solver = MembershipSolver()
     failures = 0
     lines = []
     started = time.monotonic()
@@ -190,7 +190,7 @@ def cmd_theorem(args):
         seed = args.seed + i
         vec = random_table(p, n, seed=seed)
         t0 = time.monotonic()
-        report = verify_image(vec, solver=solver)
+        report = verify_image(vec)
         passed = report.member
         if not passed:
             failures += 1
@@ -284,7 +284,9 @@ def cmd_ideal(args):
 # -- argument wiring -----------------------------------------------------------------
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toricperiod",
         description="exact toric periods on unramified principal series",
@@ -325,8 +327,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.run(args)
 
 

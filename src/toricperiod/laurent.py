@@ -326,6 +326,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json_terms(cls, field, items):
+        """Read `to_json_terms` output: exponents and scalars are checked here,
+        duplicate keys are summed and zero sums dropped, as the constructor does."""
         from .scalars import parse_rational
 
         terms = {}
@@ -339,7 +341,8 @@ class LaurentPoly:
                 terms[key] = terms[key] + c
             else:
                 terms[key] = c
-        return cls(field, terms)
+        zero = field.zero
+        return _of(field, {e: c for e, c in terms.items() if c != zero})
 
     def __repr__(self):
         return f"LaurentPoly({self.to_y_display()})"

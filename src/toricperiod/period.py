@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .family import invariance_level, vector_field, vector_prime
-from .groebner import Certificate, laurent_membership
+from .groebner import Certificate, MembershipSolver, laurent_membership
 from .laurent import LaurentPoly, NotDivisible, ZPoly, one, qpow, y1, y2
 from .whittaker import big_cell_profile, period_parts, whittaker_coefficient
 
@@ -89,8 +90,13 @@ def spherical_ratio(f, field=None):
         return None
 
 
+@cache
 def image_ideal(field):
-    """Generator pair (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) of the period image."""
+    """Generator pair (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) of the period image.
+
+    Built once per field: every call with an equal field returns the same
+    pair, which the arithmetic only reads.
+    """
     return (
         one(field) - y1(field),
         one(field) - qpow(field, -1) * y1(field) * y2(field, -1),
@@ -140,6 +146,11 @@ class PeriodReport:
         }
 
 
+# The solver verify_image uses when it is given none.  It is only ever asked
+# about image_ideal(field), so it holds one reduced basis per field.
+_IMAGE_SOLVER = MembershipSolver()
+
+
 def verify_image(f, field=None, solver=None):
     """Compute the period of f and certify its ideal membership.
 
@@ -148,10 +159,15 @@ def verify_image(f, field=None, solver=None):
     fails, which the image theorem rules out for family vectors.  The
     verdict is checked against evaluation at the ideal's one point, and
     VerdictMismatch is raised if the two disagree.
+
+    Without a `solver`, one module-level MembershipSolver serves every
+    call, so the image ideal and its reduced basis are built once per field
+    per process.  It caches bases only: every call still re-expands its
+    certificate and evaluates the period at the point.
     """
     la = toric_period(f, field)
     g1, g2 = image_ideal(la.field)
-    cert = laurent_membership(la, g1, g2, solver=solver)
+    cert = laurent_membership(la, g1, g2, solver=solver or _IMAGE_SOLVER)
     if (cert is not None) != _vanishes_at_image_point(la):
         raise VerdictMismatch(
             f"solver says {'member' if cert is not None else 'non-member'}, "

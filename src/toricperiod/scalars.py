@@ -538,12 +538,14 @@ class QNumeric:
         return Fraction(1)
 
     def from_fraction(self, fr):
-        return Fraction(fr)
+        return fr if type(fr) is Fraction else Fraction(fr)
 
     def q_power(self, e):
         return Fraction(self.q) ** e
 
     def coerce(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise FieldMismatch(f"{x!r} is not a scalar of {self}")
@@ -601,7 +603,7 @@ class QSymbolic:
         return "QSymbolic()"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(s):
@@ -609,13 +611,16 @@ def parse_rational(s):
 
     Only those integer forms are read: a decimal point, an exponent, a
     digit separator or surrounding text is refused before any arithmetic,
-    so '1e100000000' costs nothing to reject.
+    so '1e100000000' costs nothing to reject.  The Fraction is built from
+    the matched digits, so the string is scanned once.
     """
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {s!r}")
-    if _RATIONAL.fullmatch(s) is None:
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
         raise ValueError(f"malformed rational {s!r}")
+    num, den = m.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {s!r}") from exc

@@ -178,6 +178,26 @@ def test_period_report(tmp_path, capsys):
     assert report["certificate"]["verified"] is True
 
 
+def test_in_process_calls_share_no_parser_state(tmp_path, capsys):
+    # main reuses one parser per process: a usage error and another
+    # subcommand in between leave a repeated `period` byte-identical.
+    doc = vector_to_json(f0_table(QNumeric(3), 3, 2))
+    src = tmp_path / "vec.json"
+    src.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem", "--p", "4", "--level", "1", "--trials", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, first, _ = run_cli(capsys, "period", "--input", str(src))
+    assert code == 0 and first
+    code, out, _ = run_cli(capsys, "identities")
+    assert code == 0 and out.startswith("PASS")
+    code, again, _ = run_cli(capsys, "period", "--input", str(src))
+    assert code == 0
+    assert again == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_period_symbolic_marker(tmp_path, capsys):
     src = tmp_path / "sph.json"
     src.write_text(json.dumps({"symbolic": "sph"}))

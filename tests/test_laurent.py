@@ -19,7 +19,14 @@ from toricperiod.laurent import (
     y2,
     zero,
 )
-from toricperiod.scalars import FieldMismatch, NotInvertible, NotRational, QNumeric, QSymbolic
+from toricperiod.scalars import (
+    FieldMismatch,
+    NotInvertible,
+    NotRational,
+    QNumeric,
+    QSymbolic,
+    RationalFunction,
+)
 
 S = QSymbolic()
 N3 = QNumeric(3)
@@ -293,6 +300,28 @@ def test_json_roundtrip_numeric():
 def test_json_duplicate_monomials_accumulate():
     items = [{"c": "1/2", "e": [1, 0]}, {"c": "1/2", "e": [1, 0]}]
     assert LaurentPoly.from_json_terms(N3, items) == y1(N3)
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["numeric", "symbolic"])
+def test_json_terms_drop_zeros_and_sum_duplicates(field):
+    items = [
+        {"c": "0", "e": [5, 5]},
+        {"c": "2/3", "e": [1, -1]},
+        {"c": "-2/3", "e": [1, -1]},
+        {"c": "1/2", "e": [0, 2]},
+        {"c": "-7", "e": [-1, 0]},
+        {"c": "3/2", "e": [0, 2]},
+    ]
+    got = LaurentPoly.from_json_terms(field, items)
+    assert got.terms == {(0, 2): field.from_fraction(2), (-1, 0): field.from_fraction(-7)}
+    kind = RationalFunction if field.is_symbolic else Fraction
+    assert all(type(c) is kind for c in got.terms.values())
+    checked = {}
+    for item in items:
+        key = tuple(item["e"])
+        checked[key] = checked.get(key, 0) + Fraction(item["c"])
+    assert got == LaurentPoly(field, checked)
+    assert LaurentPoly.from_json_terms(field, items[:3]).is_zero
 
 
 # -- zeta windows --------------------------------------------------------------------

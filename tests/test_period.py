@@ -334,6 +334,36 @@ def test_wrong_member_verdict_is_caught(monkeypatch):
         verify_image(SPH, field=S)
 
 
+def test_image_basis_is_shared_per_field(monkeypatch):
+    # Without a solver, verify_image asks one module-level solver about
+    # image_ideal(field) only, so it keeps one reduced basis per field and
+    # reuses it; the certificates are those of a fresh solver.  The markers'
+    # periods are g2 and g1 themselves, answered by lone division, so they
+    # add no basis.
+    shared = MembershipSolver()
+    monkeypatch.setattr(period, "_IMAGE_SOLVER", shared)
+    N3, N5 = QNumeric(3), QNumeric(5)
+    ideals = {F: image_ideal(F) for F in (N3, N5, S)}
+    before = {F: [dict(g.terms) for g in pair] for F, pair in ideals.items()}
+    cases = [(random_table(3, 2, seed=seed), None) for seed in range(4)]
+    cases += [(random_table(5, 2, seed=seed), None) for seed in range(4)]
+    cases += [(SPH, S), (PHI_W, S)]
+    first = {}
+    for f, field in cases:
+        report = verify_image(f, field)
+        fresh = verify_image(f, field, solver=MembershipSolver())
+        assert report.certificate.to_json() == fresh.certificate.to_json()
+        first.update((k, v) for k, v in shared._bases.items() if k not in first)
+    assert set(shared._bases) == {ideals[N3], ideals[N5]}
+    for key, basis in shared._bases.items():
+        g1, g2 = image_ideal(key[0].field)
+        assert key[0] is g1 and key[1] is g2
+        assert basis is first[key]
+    for F, pair in ideals.items():
+        assert image_ideal(F) is pair
+        assert [g.terms for g in pair] == before[F]
+
+
 def test_report_json_shape():
     report = verify_image(f0_table(QNumeric(3), 3, 1))
     blob = report.to_json()

@@ -340,6 +340,12 @@ def test_descriptor_equality_and_coercion():
     F = QNumeric(5)
     assert F.q_power(-1) == Fraction(1, 5)
     assert F.coerce(2) == Fraction(2)
+    # a Fraction is passed through as is; an int becomes one
+    x = Fraction(-22, 7)
+    assert F.from_fraction(x) is x and F.coerce(x) is x
+    for n in (0, 3, True):
+        for got in (F.from_fraction(n), F.coerce(n)):
+            assert type(got) is Fraction and got == n
     with pytest.raises(FieldMismatch):
         F.coerce(RationalFunction((1,)))
     S = QSymbolic()
@@ -360,3 +366,16 @@ def test_parse_rational():
     for bad in ("1.5", "1e100000000", "1_0", "3/-2", "+3", " 3", "3/", "/2", "", "٣"):
         with pytest.raises(ValueError, match="malformed rational"):
             parse_rational(bad)
+
+
+def test_parse_rational_matches_fraction():
+    # The Fraction is built from the matched digits; it equals the one
+    # Fraction(s) reads, and refusals keep their message.
+    for text in ("0", "-0", "007/014", "-3/9", "4" * 4000, "-" + "7" * 4000 + "/21"):
+        got = parse_rational(text)
+        assert type(got) is Fraction
+        assert got == Fraction(text)
+    for bad in ("1/0", "1/-2", "+1", "1.5", "9" * 5000, "1/" + "3" * 5000):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(bad)
+        assert str(exc.value) == f"malformed rational {bad!r}"
