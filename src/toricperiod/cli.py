@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .family import (
     PHI_W,
@@ -232,6 +233,51 @@ def cmd_theorem(args):
 # -- single-vector reports -----------------------------------------------------------
 
 
+def _term_template(pad):
+    """One {"c": ..., "e": [e1, e2]} term as json.dumps(indent=2) lays it out at depth pad."""
+    inner = pad + "  "
+    return (
+        f'{pad}{{\n{inner}"c": %s,\n{inner}"e": [\n{inner}  %d,\n{inner}  %d\n'
+        f"{inner}]\n{pad}}}"
+    )
+
+
+_LA_TERM = _term_template(" " * 4)
+_CERT_TERM = _term_template(" " * 6)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _terms_json(poly, template, close):
+    """poly.to_json_terms() as indented JSON; close is the indent of its ']'."""
+    if not poly.terms:
+        return "[]"
+    body = ",\n".join(
+        template % (_quote(str(c)), e1, e2) for (e1, e2), c in poly.sorted_terms()
+    )
+    return f"[\n{body}\n{close}]"
+
+
+def period_report_json(report):
+    """Exactly json.dumps(report.to_json(), indent=2), read from the report's
+    polynomials with fixed templates instead of the pure-Python encoder."""
+    cert = report.certificate
+    if cert is None:
+        cert_json = "null"
+    else:
+        cert_json = (
+            f'{{\n    "u1": {_terms_json(cert.u1, _CERT_TERM, "    ")},'
+            f'\n    "u2": {_terms_json(cert.u2, _CERT_TERM, "    ")},'
+            f'\n    "verified": {_JSON_BOOL[cert.verified]}\n  }}'
+        )
+    return (
+        f'{{\n  "lA": {_terms_json(report.la, _LA_TERM, "  ")},'
+        f'\n  "lA_display_X": {_quote(report.la.to_x_display())},'
+        f'\n  "member": {_JSON_BOOL[report.member]},'
+        f'\n  "certificate": {cert_json},'
+        f'\n  "rational": {_JSON_BOOL[report.rational]}\n}}'
+    )
+
+
 def cmd_period(args):
     try:
         with open(args.input) as fh:
@@ -249,7 +295,7 @@ def cmd_period(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = verify_image(vec, field=field)
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+    _emit(period_report_json(report) + "\n", args.out)
     return EXIT_OK if report.member else EXIT_FALSIFIED
 
 

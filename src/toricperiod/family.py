@@ -19,6 +19,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .localfield import (
@@ -61,8 +62,8 @@ class TableVector:
     __slots__ = ("p", "n", "values", "field")
 
     def __init__(self, p, n, values):
-        expected = set(p1_enumerate(p, n))
-        got = set(values)
+        expected = _class_set(p, n)
+        got = values.keys()
         if got != expected:
             missing = sorted(str(c) for c in expected - got)
             extra = sorted(str(c) for c in got - expected)
@@ -277,12 +278,35 @@ def random_table(p, n, seed):
 # -- serialization ----------------------------------------------------------------
 
 
+# Tables of the last few (p, n) read or built; each holds p^n + p^(n-1) classes.
+_CLASS_CACHE = 8
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
+def _class_labels(p, n):
+    """{str(cls): cls} over the classes of P1(Z/p^n)."""
+    return {str(cls): cls for cls in p1_enumerate(p, n)}
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
+def _class_set(p, n):
+    """The classes of P1(Z/p^n) as a frozenset."""
+    return frozenset(_class_labels(p, n).values())
+
+
 # ASCII digits only, as scalars.parse_rational reads them: no sign or padding.
 _CLASS_LABEL = re.compile(r"\[([0-9]+):([0-9]+)\]")
 
 
 def _parse_class(text, p, n):
-    label = _CLASS_LABEL.fullmatch(text) if isinstance(text, str) else None
+    """The class a label names: a canonical label is looked up, and any other
+    string (such as "[01:1]") is read by `_CLASS_LABEL` and checked."""
+    if not isinstance(text, str):
+        raise ParseError(f"bad class label {text!r}")
+    cls = _class_labels(p, n).get(text)
+    if cls is not None:
+        return cls
+    label = _CLASS_LABEL.fullmatch(text)
     if label is None:
         raise ParseError(f"bad class label {text!r}")
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import FieldMismatch, NotInvertible, add_terms
+from .scalars import FieldMismatch, NotInvertible, add_terms, parse_rational
 
 
 class NotDivisible(ArithmeticError):
@@ -37,6 +37,15 @@ class TailViolation(ArithmeticError):
 
 def _grevlex2(e):
     return (e[0] + e[1], e[0])
+
+
+def _powers(v, exponents):
+    """{e: v**e} over the given exponents, with None for a power equal to one."""
+    out = {}
+    for e in exponents:
+        x = v**e
+        out[e] = None if x == 1 else x
+    return out
 
 
 def _of(field, terms):
@@ -251,10 +260,21 @@ class LaurentPoly:
         )
 
     def evaluate_at(self, v1, v2):
-        """Evaluate at invertible scalar values of Y1, Y2."""
+        """Evaluate at invertible scalar values of Y1, Y2.
+
+        Each distinct power of v1 and of v2 is taken once per call, and a
+        power equal to one is not multiplied in.
+        """
+        pow1 = _powers(v1, {e1 for e1, _ in self.terms})
+        pow2 = _powers(v2, {e2 for _, e2 in self.terms})
         acc = self.field.zero
         for (e1, e2), c in self.terms.items():
-            acc = acc + c * v1**e1 * v2**e2
+            a, b = pow1[e1], pow2[e2]
+            if a is not None:
+                c = c * a
+            if b is not None:
+                c = c * b
+            acc = acc + c
         return acc
 
     # -- display and serialization ----------------------------------------------
@@ -265,50 +285,46 @@ class LaurentPoly:
     def _display(self, x_coords):
         if not self.terms:
             return "0"
-        rendered = []
+        symbolic = self.field.is_symbolic
+        names = ("X1", "X2") if x_coords else ("Y1", "Y2")
+        out = ""
         for (e1, e2), c in self.sorted_terms():
             parts = []
-            negative = False
-            qshift = Fraction(-(e1 + e2), 2) if x_coords else Fraction(0)
-            if not self.field.is_symbolic:
-                negative = c < 0
-                mag = abs(c)
-                if mag != 1:
-                    parts.append(str(mag))
+            # twice the power of q shown: the X coordinates carry q^(-(e1 + e2)/2)
+            half = -(e1 + e2) if x_coords else 0
+            mono = c.is_q_monomial() if symbolic else (c, 0)
+            if mono is None:
+                negative = False
+                parts.append(f"({c})")
             else:
-                mono = c.is_q_monomial()
-                if mono is not None:
-                    c0, e = mono
-                    negative = c0 < 0
-                    mag = abs(c0)
-                    if mag != 1:
-                        parts.append(str(mag))
-                    qshift += e
-                else:
-                    parts.append(f"({c})")
-            if qshift != 0:
-                if qshift == 1:
-                    parts.append("q")
-                elif qshift.denominator == 1 and qshift > 0:
-                    parts.append(f"q^{qshift}")
-                else:
-                    parts.append(f"q^({qshift})")
-            for name, e in (("X1" if x_coords else "Y1", e1),
-                            ("X2" if x_coords else "Y2", e2)):
+                c0, e = mono
+                half += 2 * e
+                mag = str(c0)
+                negative = mag[0] == "-"
+                if negative:
+                    mag = mag[1:]
+                if mag != "1":
+                    parts.append(mag)
+            if half == 2:
+                parts.append("q")
+            elif half % 2:
+                parts.append(f"q^({half}/2)")
+            elif half > 0:
+                parts.append(f"q^{half // 2}")
+            elif half < 0:
+                parts.append(f"q^({half // 2})")
+            for name, e in zip(names, (e1, e2)):
                 if e == 1:
                     parts.append(name)
                 elif e > 1:
                     parts.append(f"{name}^{e}")
                 elif e < 0:
                     parts.append(f"{name}^({e})")
-            if not parts:
-                parts.append("1")
-            body = "·".join(parts)
-            rendered.append((negative, body))
-        neg, body = rendered[0]
-        out = ("-" + body) if neg else body
-        for neg, body in rendered[1:]:
-            out += (" - " if neg else " + ") + body
+            body = "·".join(parts) if parts else "1"
+            if out:
+                out += (" - " if negative else " + ") + body
+            else:
+                out = "-" + body if negative else body
         return out
 
     def to_x_display(self):
@@ -328,12 +344,11 @@ class LaurentPoly:
     def from_json_terms(cls, field, items):
         """Read `to_json_terms` output: exponents and scalars are checked here,
         duplicate keys are summed and zero sums dropped, as the constructor does."""
-        from .scalars import parse_rational
-
         terms = {}
         for item in items:
             e = item["e"]
-            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            if not (isinstance(e, list) and len(e) == 2
+                    and type(e[0]) is int and type(e[1]) is int):
                 raise ValueError(f"exponent pair of integers expected, got {e!r}")
             key = (e[0], e[1])
             c = field.from_fraction(parse_rational(item["c"]))
@@ -341,8 +356,7 @@ class LaurentPoly:
                 terms[key] = terms[key] + c
             else:
                 terms[key] = c
-        zero = field.zero
-        return _of(field, {e: c for e, c in terms.items() if c != zero})
+        return _of(field, {e: c for e, c in terms.items() if c})
 
     def __repr__(self):
         return f"LaurentPoly({self.to_y_display()})"

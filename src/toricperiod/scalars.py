@@ -519,6 +519,8 @@ class QNumeric:
     """Rationals with the residue field size q specialized to a prime."""
 
     is_symbolic = False
+    zero = _F0
+    one = _F1
     __slots__ = ("q",)
 
     def __init__(self, q):
@@ -528,14 +530,6 @@ class QNumeric:
 
     def __setattr__(self, *_):
         raise AttributeError("field descriptors are immutable")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def from_fraction(self, fr):
         return fr if type(fr) is Fraction else Fraction(fr)
@@ -567,15 +561,9 @@ class QSymbolic:
     """Rational functions in a formal q."""
 
     is_symbolic = True
+    zero = _ZERO_RF
+    one = _ONE_RF
     __slots__ = ()
-
-    @property
-    def zero(self):
-        return _ZERO_RF
-
-    @property
-    def one(self):
-        return _ONE_RF
 
     def from_fraction(self, fr):
         return RationalFunction.from_fraction(fr)

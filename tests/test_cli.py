@@ -5,16 +5,21 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricperiod
 from toricperiod import cli, groebner
 from toricperiod.cli import main
-from toricperiod.family import f0_table, vector_to_json
-from toricperiod.laurent import ZPoly, one
-from toricperiod.scalars import QNumeric
+from toricperiod.family import f0_table, random_table, vector_to_json
+from toricperiod.groebner import Certificate
+from toricperiod.laurent import LaurentPoly, ZPoly, one
+from toricperiod.period import PeriodReport
+from toricperiod.scalars import QNumeric, QSymbolic, RationalFunction
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +181,66 @@ def test_period_report(tmp_path, capsys):
     assert report["rational"] is True
     assert report["lA_display_X"] == "1 - q^(-1/2)·X1"
     assert report["certificate"]["verified"] is True
+
+
+_fractions = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+_q_scalars = st.one_of(
+    _fractions.map(QSymbolic().from_fraction),
+    st.builds(lambda c, m: QSymbolic().q_power(m) * c, _fractions, st.integers(-30, 30)),
+    # non-monomials, with a denominator: str gives the "(...)/(...)" form
+    st.builds(
+        RationalFunction,
+        st.lists(_fractions, min_size=1, max_size=3),
+        st.lists(_fractions, min_size=1, max_size=3).filter(lambda d: d[0] != 0),
+    ),
+)
+_exponents = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+
+
+@st.composite
+def _reports(draw):
+    field = draw(st.sampled_from([QNumeric(7), QSymbolic()]))
+    scalars = _q_scalars if field.is_symbolic else _fractions
+
+    def poly():
+        return LaurentPoly(field, draw(st.dictionaries(_exponents, scalars, max_size=5)))
+
+    cert = Certificate(poly(), poly()) if draw(st.booleans()) else None
+    return PeriodReport(la=poly(), member=draw(st.booleans()), certificate=cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+def test_period_report_json_matches_indented_dumps(report):
+    assert cli.period_report_json(report) == json.dumps(report.to_json(), indent=2)
+
+
+def test_period_report_json_fixed_cases():
+    # an empty period with no certificate, and the non-ASCII display escaped
+    empty = PeriodReport(la=LaurentPoly(QNumeric(3)), member=False, certificate=None)
+    assert cli.period_report_json(empty) == json.dumps(empty.to_json(), indent=2)
+    assert '"lA": []' in cli.period_report_json(empty)
+    assert '"certificate": null' in cli.period_report_json(empty)
+    report = cli.verify_image(random_table(5, 2, seed=3))
+    text = cli.period_report_json(report)
+    assert text == json.dumps(report.to_json(), indent=2)
+    assert "\\u00b7" in text and "·" in report.la.to_x_display()
+
+
+def test_period_never_runs_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder entered")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": [1]}, indent=2)
+    for doc in (vector_to_json(random_table(3, 2, seed=8)), {"symbolic": "sph"}):
+        src = tmp_path / "doc.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "period", "--input", str(src))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["member"] is True and report["certificate"]["verified"] is True
 
 
 def test_in_process_calls_share_no_parser_state(tmp_path, capsys):

@@ -30,6 +30,7 @@ from toricperiod.family import (
 from toricperiod.laurent import LaurentPoly, mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import (
     Mat2,
+    P1Class,
     class_rep,
     diag,
     p1_enumerate,
@@ -314,6 +315,87 @@ def test_json_parse_errors():
         vector_from_json({**good, "values": good["values"][:-1]})
     with pytest.raises(ParseError):
         vector_from_json({"prime": 3, "level": 1})
+
+
+def _relabelled(doc, old, new):
+    return {**doc, "values": [{**r, "class": new if r["class"] == old else r["class"]}
+                              for r in doc["values"]]}
+
+
+def test_json_noncanonical_labels_read_as_before():
+    # Canonical labels are looked up in a per-(p, n) table; any other
+    # spelling takes the regex route and names the same class.
+    want = P1Class(3, 2, False, 1)
+    for label in ("[1:1]", "[01:1]", "[0001:1]"):
+        assert family._parse_class(label, 3, 2) == want
+    assert family._parse_class("[1:03]", 3, 2) == P1Class(3, 2, True, 3)
+    good = vector_to_json(random_table(3, 2, seed=4))
+    for label in ("[01:1]", "[0001:1]"):
+        vec, _ = vector_from_json(_relabelled(good, "[1:1]", label))
+        assert vec == vector_from_json(good)[0]
+    # one class spelled both ways is still a duplicate
+    twice = {**good, "values": good["values"] + [{**good["values"][1], "class": "[01:1]"}]}
+    with pytest.raises(ParseError, match=r"^duplicate class '\[01:1\]'$"):
+        vector_from_json(twice)
+
+
+def test_json_label_and_coverage_messages():
+    good = vector_to_json(random_table(3, 1, seed=5))
+    messages = {
+        "[x:1]": "bad class label '[x:1]'",
+        5: "bad class label 5",
+        None: "bad class label None",
+        ("[1:1]",): "bad class label ['[1:1]']",
+        "[9:1]": "representative 9 out of range mod 3",
+        "[1:2]": "[1 : v] requires v divisible by p",
+        "[2:3]": "bad class label '[2:3]'",
+        "[0:0]": "bad class label '[0:0]'",
+        "[01:0]": "duplicate class '[1:0]'",
+        "[1:01]": "duplicate class '[1:1]'",
+        "[3:1]": "representative 3 out of range mod 3",
+    }
+    for label, message in messages.items():
+        label = list(label) if isinstance(label, tuple) else label
+        rows = [{**good["values"][0], "class": label}] + good["values"][1:]
+        with pytest.raises(ParseError) as exc:
+            vector_from_json({**good, "values": rows})
+        assert str(exc.value) == message
+    with pytest.raises(ClassCoverageError) as exc:
+        vector_from_json({**good, "values": good["values"][:-1]})
+    assert str(exc.value) == (
+        "table for p=3, n=1: 3 rows leave classes missing "
+        "(P1(Z/p^n) has p^n + p^(n-1) classes)"
+    )
+    F = QNumeric(3)
+    values = {c: LaurentPoly.one(F) for c in p1_enumerate(3, 1)[1:] + p1_enumerate(3, 2)[:1]}
+    with pytest.raises(ClassCoverageError) as exc:
+        TableVector(3, 1, values)
+    assert str(exc.value) == "table for p=3, n=1: missing ['[0:1]'], extra ['[0:1]']"
+
+
+@pytest.mark.parametrize("p,n", [(2305843009213693951, 1), (2, 40)])
+def test_oversized_tables_build_no_class_table(monkeypatch, p, n):
+    def refuse(*args):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(family, "p1_enumerate", refuse)
+    before = family._class_labels.cache_info()
+    with pytest.raises(ClassCoverageError, match="0 rows leave classes missing"):
+        vector_from_json({"prime": p, "level": n, "values": []})
+    assert family._class_labels.cache_info() == before
+
+
+def test_class_tables_are_bounded():
+    for cached in (family._class_labels, family._class_set):
+        assert cached.cache_info().maxsize == family._CLASS_CACHE <= 16
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            vector_from_json(vector_to_json(f0_table(QNumeric(p), p, n)))
+    for cached in (family._class_labels, family._class_set):
+        assert cached.cache_info().currsize <= family._CLASS_CACHE
+    labels = family._class_labels(3, 2)
+    assert labels == {str(c): c for c in p1_enumerate(3, 2)}
+    assert family._class_set(3, 2) == frozenset(p1_enumerate(3, 2))
 
 
 def test_json_bad_poly_scalar():

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricperiod import laurent
 from toricperiod.laurent import (
@@ -243,6 +245,56 @@ def test_common_zero_of_generators():
         assert (one(field) - qpow(field, 1) * y2(field)).evaluate_at(v1, v2) == field.zero
 
 
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+_nonzero_fractions = _fractions.filter(bool)
+_rfs = st.builds(
+    lambda num, den, m: RationalFunction(num, den) * RationalFunction.q_power(m),
+    st.lists(_fractions, min_size=1, max_size=3).filter(any),
+    st.lists(_fractions, min_size=1, max_size=2).filter(lambda d: d[0] != 0),
+    st.integers(-3, 3),
+)
+_exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def _point_and_poly(draw):
+    field = draw(st.sampled_from([N3, S]))
+    values = _nonzero_fractions if field is N3 else st.one_of(_nonzero_fractions, _rfs)
+    scalars = _fractions if field is N3 else st.one_of(_fractions, _rfs)
+    terms = draw(st.dictionaries(_exponents, scalars, max_size=6))
+    return LaurentPoly(field, terms), draw(values), draw(values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_and_poly())
+def test_evaluate_at_matches_naive_sum(case):
+    f, v1, v2 = case
+    naive = f.field.zero
+    for (e1, e2), c in f.terms.items():
+        naive = naive + c * v1**e1 * v2**e2
+    assert f.evaluate_at(v1, v2) == naive
+
+
+class _CountingFraction(Fraction):
+    powers = 0
+
+    def __pow__(self, e):
+        _CountingFraction.powers += 1
+        return Fraction(self) ** e
+
+
+def test_evaluate_at_takes_each_power_once():
+    # 12 terms over 4 distinct Y1 exponents and 3 distinct Y2 exponents.
+    f = LaurentPoly(
+        N3, {(a, b): Fraction(a + 7, b + 5) for a in (-2, 0, 1, 3) for b in (-1, 0, 2)}
+    )
+    _CountingFraction.powers = 0
+    v1, v2 = _CountingFraction(2, 3), _CountingFraction(-5)
+    got = f.evaluate_at(v1, v2)
+    assert _CountingFraction.powers == 4 + 3
+    assert got == sum(c * Fraction(2, 3) ** a * Fraction(-5) ** b for (a, b), c in f.terms.items())
+
+
 # -- coefficient maps ------------------------------------------------------------
 
 
@@ -277,6 +329,30 @@ def test_display_misc():
     g = one(S) + qpow(S, 2) * y1(S) * y2(S)
     assert g.to_x_display() == "1 + q·X1·X2"
     assert (one(S) + y1(S) + y1(S, 2)).to_y_display() == "1 + Y1 + Y1^2"
+
+
+def test_display_q_powers():
+    f = LaurentPoly(S, {
+        (0, 0): S.q_power(3) * Fraction(-2, 5),
+        (3, 0): S.q_power(-2),
+        (-1, -2): S.q_power(1),
+        (1, 1): S.q_power(1),
+        (2, -1): RationalFunction((1, 1), (1, 0, 1)),
+        (-2, -2): RationalFunction((0, Fraction(-1, 2))),
+    })
+    assert f.to_x_display() == (
+        "-1/2·q^3·X1^(-2)·X2^(-2) + q^(5/2)·X1^(-1)·X2^(-2) - 2/5·q^3"
+        " + ((1 + q)/(1 + q^2))·q^(-1/2)·X1^2·X2^(-1) + X1·X2 + q^(-7/2)·X1^3"
+    )
+    assert f.to_y_display() == (
+        "-1/2·q·Y1^(-2)·Y2^(-2) + q·Y1^(-1)·Y2^(-2) - 2/5·q^3"
+        " + ((1 + q)/(1 + q^2))·Y1^2·Y2^(-1) + q·Y1·Y2 + q^(-2)·Y1^3"
+    )
+    g = LaurentPoly(N3, {(-3, 0): -1, (0, 4): Fraction(7, 2), (1, 2): -10, (2, 0): 1})
+    assert g.to_x_display() == (
+        "-q^(3/2)·X1^(-3) + q^(-1)·X1^2 - 10·q^(-3/2)·X1·X2^2 + 7/2·q^(-2)·X2^4"
+    )
+    assert g.to_y_display() == "-Y1^(-3) + Y1^2 - 10·Y1·Y2^2 + 7/2·Y2^4"
 
 
 def test_symbolic_non_monomial_coefficient_display():

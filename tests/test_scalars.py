@@ -354,6 +354,25 @@ def test_descriptor_equality_and_coercion():
         S.coerce(0.5)  # no floats, ever
 
 
+def test_descriptor_constants_are_shared_and_immutable():
+    # zero and one are class-level constants: read without building a value,
+    # the same object for every prime, and not settable on a descriptor.
+    F3, F7, S = QNumeric(3), QNumeric(7), QSymbolic()
+    assert F3.zero is F7.zero is QNumeric.zero and F3.one is F7.one is QNumeric.one
+    assert type(F3.zero) is type(F3.one) is Fraction
+    assert (F3.zero, F3.one) == (0, 1)
+    assert S.zero is QSymbolic().zero and S.one is QSymbolic().one
+    assert (S.zero, S.one) == (RF(()), RF((1,)))
+    for field in (F3, S):
+        for name in ("zero", "one", "q"):
+            with pytest.raises(AttributeError):
+                setattr(field, name, 2)
+    assert (F3.zero, F3.one) == (0, 1) and F3.q == 3
+    assert QNumeric(3) == F3 != F7 and hash(QNumeric(3)) == hash(F3)
+    with pytest.raises(FieldMismatch):
+        F3.coerce(S.one)
+
+
 def test_parse_rational():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == -7
