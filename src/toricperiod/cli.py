@@ -247,13 +247,12 @@ _CERT_TERM = _term_template(" " * 6)
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _terms_json(poly, template, close):
-    """poly.to_json_terms() as indented JSON; close is the indent of its ']'."""
-    if not poly.terms:
+def _terms_json(terms, template, close):
+    """to_json_terms() of a polynomial with these sorted_terms() as indented
+    JSON; close is the indent of its ']'."""
+    if not terms:
         return "[]"
-    body = ",\n".join(
-        template % (_quote(str(c)), e1, e2) for (e1, e2), c in poly.sorted_terms()
-    )
+    body = ",\n".join(template % (_quote(str(c)), e1, e2) for (e1, e2), c in terms)
     return f"[\n{body}\n{close}]"
 
 
@@ -265,13 +264,14 @@ def period_report_json(report):
         cert_json = "null"
     else:
         cert_json = (
-            f'{{\n    "u1": {_terms_json(cert.u1, _CERT_TERM, "    ")},'
-            f'\n    "u2": {_terms_json(cert.u2, _CERT_TERM, "    ")},'
+            f'{{\n    "u1": {_terms_json(cert.u1.sorted_terms(), _CERT_TERM, "    ")},'
+            f'\n    "u2": {_terms_json(cert.u2.sorted_terms(), _CERT_TERM, "    ")},'
             f'\n    "verified": {_JSON_BOOL[cert.verified]}\n  }}'
         )
+    la_terms = report.la.sorted_terms()
     return (
-        f'{{\n  "lA": {_terms_json(report.la, _LA_TERM, "  ")},'
-        f'\n  "lA_display_X": {_quote(report.la.to_x_display())},'
+        f'{{\n  "lA": {_terms_json(la_terms, _LA_TERM, "  ")},'
+        f'\n  "lA_display_X": {_quote(report.la.to_x_display(la_terms))},'
         f'\n  "member": {_JSON_BOOL[report.member]},'
         f'\n  "certificate": {cert_json},'
         f'\n  "rational": {_JSON_BOOL[report.rational]}\n}}'

@@ -15,13 +15,17 @@ relation term.)  The right-hand side is decided by a Grobner normal form.
 When (g1, g2) is the maximal ideal of a point (gamma, beta), as the image
 ideal (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) is at (1, 1/q), the reduced basis is
 {u - alpha, Y2 - beta, Y1 - gamma}, and the normal form of h_hat is its
-value at the point.  The point route computes it, with the same quotients
+value at the point.  The point route finds it, with the same quotients
 the tracked reduction builds, by synthetic division: h_hat by Y2 - beta
-column by column, then the column values by Y1 - gamma.  Other ideals take
-the tracked normal form.  Before either, a generator that divides h alone
-gives a one-term certificate; a binomial generator linear in one variable
-is tried only if h vanishes on its root, which decides that divisibility
-exactly.
+column by column, then the column values by Y1 - gamma, so that h_hat =
+Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with Q2, Q1 free of u.  Since
+u -> (Y1*Y2)^{-1} is a ring map, the cofactors are (Q2*S2_i + Q1*S1_i)
+times a monomial, where S2_i and S1_i are the substituted basis reps of
+Y2 - beta and Y1 - gamma, fixed once per cached basis (for the image ideal
+they are constants).  Other ideals take the tracked normal form.  Before
+either, a generator that divides h alone gives a one-term certificate; a
+binomial generator linear in one variable is tried only if h vanishes on
+its root, which decides that divisibility exactly.
 
 Every reduction step is tracked against the original generators, so a
 successful membership test produces explicit Laurent cofactors u1, u2 with
@@ -42,8 +46,9 @@ The image ideal's generators, its reduced basis and the basis reps have
 only the coefficients +-1 and +-q^{+-1}, so the kernels give unit and
 q-monomial factors no scalar product: `_sub_multiple` passes a basis
 coefficient +-1 on as -c or c, `_horner` and `_root_refutes` skip the
-powers of a root equal to one (gamma = 1 here), the Laurent product in
-`Certificate.holds_for` passes inner scalars on as they are for an outer
+powers of a root equal to one (gamma = 1 here), the Laurent products that
+form the point-route cofactors and re-expand them in
+`Certificate.holds_for` pass inner scalars on as they are for an outer
 +-1, and over QSymbolic a factor c*q^m is a shift of exponents.  The check
 itself is unchanged: every certificate is re-expanded in full, term by
 term, over exact scalars.
@@ -170,36 +175,45 @@ def _horner(coeffs, root, one):
     return quo, carry
 
 
-def _point_nf(terms, basis):
-    """What _tracked_nf returns for a u-free poly against a point basis.
+def _point_quotients(terms, beta, gamma, one):
+    """Q2, Q1 and r with poly = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r.
 
-    basis is [u - alpha, Y2 - beta, Y1 - gamma] (leading monomials
-    _POINT_LMS) and terms is the poly as {(a, b): scalar}.  _tracked_nf
-    reduces each term that has a Y2 by Y2 - beta, the first divisor that
-    applies, and the rest by Y1 - gamma, so its quotients are the unique Q2
-    and Q1 in k[Y1] with poly = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and
-    r = poly(gamma, beta).  Horner division of each Y1-column by Y2 - beta
-    gives Q2 and the column values R(Y1) = poly(Y1, beta); dividing R by
-    Y1 - gamma gives Q1 and r.  The reps are -(Q2*reps(Y2 - beta) +
-    Q1*reps(Y1 - gamma)).
+    terms is a u-free poly as {(a, b): scalar}.  Horner division of each
+    Y1-column by Y2 - beta gives Q2 and the column values R(Y1) =
+    poly(Y1, beta); dividing R by Y1 - gamma gives Q1 in k[Y1] and r =
+    poly(gamma, beta).  Q2 and Q1 come back as term dicts {(a, b): scalar}.
+    These are the quotients _tracked_nf finds against a point basis
+    {u - alpha, Y2 - beta, Y1 - gamma}: it reduces each term that has a Y2
+    by Y2 - beta, the first divisor that applies, and the rest by Y1 - gamma.
     """
-    (y2_poly, reps2), (y1_poly, reps1) = basis[1], basis[2]
-    beta, gamma = -y2_poly[(0, 0, 0)], -y1_poly[(0, 0, 0)]
-    one = y2_poly[(0, 1, 0)]  # the reduced basis is monic
-    units = (one, -one)
     cols = {}
     for (a, b), c in terms.items():
         cols.setdefault(a, {})[b] = c
-    row = {}
-    reps = tuple({} for _ in reps2)
+    q2, row = {}, {}
     for a, col in cols.items():
         quo, row[a] = _horner(col, beta, one)
         for b, c in quo.items():
-            _sub_multiple(reps, reps2, c, (a, b, 0), units)
+            q2[(a, b)] = c
     quo, r = _horner(row, gamma, one)
-    for a, c in quo.items():
-        _sub_multiple(reps, reps1, c, (a, 0, 0), units)
-    return ({(0, 0, 0): r} if r else {}), reps
+    return q2, {(a, 0): c for a, c in quo.items()}, r
+
+
+def _point_entry(basis, g1, g2):
+    """(beta, gamma, S2, S1, shifts) for a point basis {u - alpha, Y2 - beta, Y1 - gamma}.
+
+    S2 and S1 are the pairs of Laurent cofactors of the normalized
+    generators that make Y2 - beta and Y1 - gamma (their basis reps under
+    u -> (Y1*Y2)^{-1}), and shifts are the generators' normalization shifts.
+    """
+    field = g1.field
+    (y2_poly, reps2), (y1_poly, reps1) = basis[1], basis[2]
+    return (
+        -y2_poly[(0, 0, 0)],
+        -y1_poly[(0, 0, 0)],
+        tuple(-_substitute_u(field, rep, (0, 0)) for rep in reps2[:2]),
+        tuple(-_substitute_u(field, rep, (0, 0)) for rep in reps1[:2]),
+        tuple(g._poly_normalize()[0] for g in (g1, g2)),
+    )
 
 
 def _spoly(f, g, one):
@@ -339,16 +353,23 @@ def _root_refutes(h, g):
 
 
 class MembershipSolver:
-    """Decides h in (g1, g2)*A with certificates, caching one basis per pair."""
+    """Decides h in (g1, g2)*A with certificates, caching one basis per pair.
+
+    Next to each basis it keeps the basis's point entry (`_point_entry`),
+    or None when the basis is not {u - alpha, Y2 - beta, Y1 - gamma}.
+    """
 
     def __init__(self):
         self._bases = {}
+        self._points = {}
 
     def _basis(self, g1, g2):
         key = (g1, g2)
         hit = self._bases.get(key)
         if hit is None:
             hit = _buchberger(_rabinowitsch_gens(g1, g2), g1.field.one)
+            point = [_leading(poly)[0] for poly, _ in hit] == _POINT_LMS
+            self._points[key] = _point_entry(hit, g1, g2) if point else None
             self._bases[key] = hit
         return hit
 
@@ -359,10 +380,13 @@ class MembershipSolver:
         certificate (h/g, 0) or (0, h/g); when g is a unit times
         Y_v - r*Y_w^d, h is divided only if it vanishes at Y_v = r*Y_w^d
         (`_root_refutes`).  Otherwise h_hat is reduced against the cached
-        basis: by synthetic division at the point when the basis is
-        {u - alpha, Y2 - beta, Y1 - gamma} (`_point_nf`), else by the
-        tracked normal form.  Both routes give the same reps, hence the same
-        certificate, and every certificate is re-expanded before it is
+        basis.  When the basis is {u - alpha, Y2 - beta, Y1 - gamma},
+        synthetic division at the point (`_point_quotients`) gives h_hat =
+        Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and each cofactor is
+        (Q2*S2_i + Q1*S1_i)*Y^(h - d_i) from the basis's point entry: two
+        Laurent products, a sum and a shift.  Other bases take the tracked
+        normal form, whose reps give the same certificate under u ->
+        (Y1*Y2)^{-1}.  Every certificate is re-expanded before it is
         returned.
         """
         field = h.field
@@ -390,21 +414,29 @@ class MembershipSolver:
 
         (h1, h2), hterms = h._poly_normalize()
         basis = self._basis(g1, g2)
-        if [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS:
-            rem, reps = _point_nf(hterms, basis)
+        point = self._points[(g1, g2)]
+        if point is not None:
+            beta, gamma, s2, s1, shifts = point
+            q2, q1, r = _point_quotients(hterms, beta, gamma, field.one)
+            if r:
+                return None
+            q2, q1 = _of(field, q2), _of(field, q1)
+            cofs = [
+                (q2 * a + q1 * b).shift(h1 - d1, h2 - d2)
+                for a, b, (d1, d2) in zip(s2, s1, shifts)
+            ]
         else:
             h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
             rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis, field.one)
-        if rem:
-            return None
-
-        # h_hat == -sum(reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
-        # kills the relation generator and leaves Laurent cofactors for the
-        # normalized pair, which the units -Y^(h - d) carry back to (g1, g2).
-        cofs = []
-        for g, rep in zip((g1, g2), reps[:2]):
-            (d1, d2), _ = g._poly_normalize()
-            cofs.append(_substitute_u(field, rep, (h1 - d1, h2 - d2)))
+            if rem:
+                return None
+            # h_hat == -sum(reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
+            # kills the relation generator and leaves Laurent cofactors for the
+            # normalized pair, which the units -Y^(h - d) carry back to (g1, g2).
+            cofs = []
+            for g, rep in zip((g1, g2), reps[:2]):
+                (d1, d2), _ = g._poly_normalize()
+                cofs.append(_substitute_u(field, rep, (h1 - d1, h2 - d2)))
         cert = Certificate(*cofs)
         if not cert.holds_for(h, g1, g2):
             raise CertificateError(f"basis certificate failed for {h}")

@@ -282,13 +282,13 @@ class LaurentPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (t[0][0] + t[0][1],) + t[0])
 
-    def _display(self, x_coords):
+    def _display(self, x_coords, terms=None):
         if not self.terms:
             return "0"
         symbolic = self.field.is_symbolic
         names = ("X1", "X2") if x_coords else ("Y1", "Y2")
         out = ""
-        for (e1, e2), c in self.sorted_terms():
+        for (e1, e2), c in terms or self.sorted_terms():
             parts = []
             # twice the power of q shown: the X coordinates carry q^(-(e1 + e2)/2)
             half = -(e1 + e2) if x_coords else 0
@@ -327,9 +327,11 @@ class LaurentPoly:
                 out = "-" + body if negative else body
         return out
 
-    def to_x_display(self):
-        """Render in the classical X coordinates (half-integral q powers)."""
-        return self._display(True)
+    def to_x_display(self, terms=None):
+        """Render in the classical X coordinates (half-integral q powers).
+
+        terms, if given, is self.sorted_terms() as the caller already has it."""
+        return self._display(True, terms)
 
     def to_y_display(self):
         return self._display(False)

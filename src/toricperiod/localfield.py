@@ -175,6 +175,11 @@ class P1Class:
             raise ValueError(f"representative {self.rep} out of range mod {mod}")
         if self.at_infinity and self.rep % self.p != 0:
             raise ValueError("[1 : v] requires v divisible by p")
+        # The value the dataclass hash would compute on every call, once.
+        object.__setattr__(self, "_hash", hash((self.p, self.n, self.at_infinity, self.rep)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"[1:{self.rep}]" if self.at_infinity else f"[{self.rep}:1]"

@@ -13,7 +13,7 @@ from toricperiod.groebner import (
     _buchberger,
     _grevlex3,
     _leading,
-    _point_nf,
+    _point_quotients,
     _rabinowitsch_gens,
     _root_refutes,
     _substitute_u,
@@ -21,7 +21,7 @@ from toricperiod.groebner import (
     bivariate_gcd,
     laurent_membership,
 )
-from toricperiod.laurent import LaurentPoly, NotDivisible, mono, one, qpow, y1, y2, zero
+from toricperiod.laurent import LaurentPoly, NotDivisible, _of, mono, one, qpow, y1, y2, zero
 from toricperiod.period import image_ideal, image_ideal_alt
 from toricperiod.scalars import QNumeric, QSymbolic, RationalFunction
 
@@ -465,10 +465,20 @@ def test_point_route_matches_tracked_normal_form(case):
     field, g1, g2, h = case
     basis = MembershipSolver()._basis(g1, g2)
     assert [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
+    beta, gamma = -basis[1][0][(0, 0, 0)], -basis[2][0][(0, 0, 0)]
+    assert (gamma, beta) == (field.one, field.q_power(-1))
     if not h.is_zero:
+        # h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with Q1 in k[Y1] and
+        # r = h_hat(gamma, beta)
         _, terms = h._poly_normalize()
-        h_hat = {(a, b, 0): c for (a, b), c in terms.items()}
-        assert _point_nf(terms, basis) == _tracked_nf(h_hat, ({}, {}, {}), basis, field.one)
+        h_hat = LaurentPoly(field, terms)
+        q2, q1, r = _point_quotients(terms, beta, gamma, field.one)
+        assert all(a >= 0 and b >= 0 for a, b in q2) and all(e[1] == 0 for e in q1)
+        assert r == h_hat.evaluate_at(gamma, beta)
+        y2_beta = y2(field) - LaurentPoly.constant(field, beta)
+        y1_gamma = y1(field) - LaurentPoly.constant(field, gamma)
+        rest = _of(field, q2) * y2_beta + _of(field, q1) * y1_gamma
+        assert rest + LaurentPoly.constant(field, r) == h_hat
     point = MembershipSolver().membership(h, g1, g2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_POINT_LMS", None)
@@ -505,6 +515,32 @@ def test_point_route_runs_without_tracked_normal_form(monkeypatch):
         assert solver.membership(h + y1(field, -3), g1, g2) is None
 
 
+def test_warm_point_route_does_no_tracked_reduction(monkeypatch):
+    # Once a solver holds the point basis, a query forms its cofactors from
+    # the two Horner quotients and the basis's point entry: no rep dict is
+    # reduced or substituted, and the certificates are a fresh solver's.
+    cases = []
+    for field in (N3, S):
+        for ideal in (image_ideal, image_ideal_alt):
+            g1, g2 = ideal(field)
+            h = _basis_only_member(field)
+            warm = MembershipSolver()
+            warm._basis(g1, g2)
+            fresh = MembershipSolver().membership(h, g1, g2)
+            cases.append((warm, g1, g2, h, fresh))
+
+    def refuse(*args):
+        raise AssertionError("rep dicts reduced or substituted per query")
+
+    for name in ("_sub_multiple", "_substitute_u", "_tracked_nf"):
+        monkeypatch.setattr(groebner, name, refuse)
+    for warm, g1, g2, h, fresh in cases:
+        cert = warm.membership(h, g1, g2)
+        assert cert.to_json() == fresh.to_json()
+        assert not cert.u1.is_zero and not cert.u2.is_zero
+        assert warm.membership(h + y1(h.field, -3), g1, g2) is None
+
+
 @pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
 def test_tampered_certificate_fails_the_check(field):
     # holds_for re-expands u1*g1 + u2*g2 in full: a +-1 or +-q^m coefficient
@@ -533,16 +569,17 @@ def test_tampered_certificate_fails_the_check(field):
 
 @pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
 def test_wrong_point_rep_raises_certificate_error(field, monkeypatch):
-    # A point route that returns a wrong rep yields a certificate that fails
-    # its re-expansion; membership raises instead of returning it.
+    # A point route with one wrong quotient term yields a certificate that
+    # fails its re-expansion; membership raises instead of returning it.
     g1, g2 = image_ideal(field)
-    point_nf = groebner._point_nf
+    point_quotients = groebner._point_quotients
 
-    def wrong(terms, basis):
-        rem, reps = point_nf(terms, basis)
-        return rem, ({**reps[0], (7, 7, 0): field.one}, *reps[1:])
+    def wrong(terms, beta, gamma, one):
+        q2, q1, r = point_quotients(terms, beta, gamma, one)
+        e = min(q2)
+        return {**q2, e: q2[e] + q2[e]}, q1, r
 
-    monkeypatch.setattr(groebner, "_point_nf", wrong)
+    monkeypatch.setattr(groebner, "_point_quotients", wrong)
     with pytest.raises(groebner.CertificateError):
         MembershipSolver().membership(_basis_only_member(field), g1, g2)
 
@@ -564,7 +601,7 @@ def test_non_point_ideal_uses_tracked_route(monkeypatch):
         raise AssertionError("point route used")
 
     monkeypatch.setattr(groebner, "_tracked_nf", counted)
-    monkeypatch.setattr(groebner, "_point_nf", refuse)
+    monkeypatch.setattr(groebner, "_point_quotients", refuse)
     h = y2(S) - one(S)
     cert = solver.membership(h, g1, g2)
     assert cert is not None and cert.holds_for(h, g1, g2)

@@ -174,6 +174,22 @@ def test_p1_class_validation():
         p1_class_of(diag(3, 3, 1), 1)
 
 
+def test_p1_class_hash_and_equality():
+    # The hash is fixed at construction, as the dataclass would compute it;
+    # equality, str and immutability are the dataclass's.
+    classes = p1_enumerate(3, 2)
+    again = p1_enumerate(3, 2)
+    for a, b in zip(classes, again):
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash((a.p, a.n, a.at_infinity, a.rep))
+    assert len(set(classes) | set(again)) == len(classes) == 12
+    assert P1Class(3, 2, False, 3) != P1Class(3, 2, True, 3)
+    assert P1Class(3, 2, False, 3) != P1Class(3, 1, False, 0)
+    assert [str(c) for c in (P1Class(3, 2, False, 4), P1Class(3, 2, True, 6))] == ["[4:1]", "[1:6]"]
+    with pytest.raises(AttributeError):
+        classes[0].rep = 1
+
+
 # -- additive character -----------------------------------------------------------------
 
 

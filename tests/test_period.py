@@ -314,11 +314,11 @@ def test_point_remainder_does_not_feed_the_oracle(monkeypatch):
         evaluations.append((v1, v2))
         return evaluate_at(self, v1, v2)
 
-    def wrong(terms, basis):
-        return {(0, 0, 0): Fraction(1)}, ({}, {}, {})
+    def wrong(terms, beta, gamma, one):
+        return {}, {}, Fraction(1)
 
     monkeypatch.setattr(LaurentPoly, "evaluate_at", counted)
-    monkeypatch.setattr(groebner, "_point_nf", wrong)
+    monkeypatch.setattr(groebner, "_point_quotients", wrong)
     with pytest.raises(VerdictMismatch):
         verify_image(f)
     assert evaluations == [(1, Fraction(1, 3))]
