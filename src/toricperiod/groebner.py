@@ -353,24 +353,21 @@ def _root_refutes(h, g):
 
 
 class MembershipSolver:
-    """Decides h in (g1, g2)*A with certificates, caching one basis per pair.
-
-    Next to each basis it keeps the basis's point entry (`_point_entry`),
-    or None when the basis is not {u - alpha, Y2 - beta, Y1 - gamma}.
-    """
+    """Decides h in (g1, g2)*A with certificates, caching one basis (with its
+    point entry) per pair."""
 
     def __init__(self):
         self._bases = {}
-        self._points = {}
 
     def _basis(self, g1, g2):
+        """The reduced basis of (g1, g2) and its point entry (`_point_entry`),
+        or None when the basis is not {u - alpha, Y2 - beta, Y1 - gamma}."""
         key = (g1, g2)
         hit = self._bases.get(key)
         if hit is None:
-            hit = _buchberger(_rabinowitsch_gens(g1, g2), g1.field.one)
-            point = [_leading(poly)[0] for poly, _ in hit] == _POINT_LMS
-            self._points[key] = _point_entry(hit, g1, g2) if point else None
-            self._bases[key] = hit
+            basis = _buchberger(_rabinowitsch_gens(g1, g2), g1.field.one)
+            point = [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
+            hit = self._bases[key] = (basis, _point_entry(basis, g1, g2) if point else None)
         return hit
 
     def membership(self, h, g1, g2):
@@ -413,8 +410,7 @@ class MembershipSolver:
             return cert
 
         (h1, h2), hterms = h._poly_normalize()
-        basis = self._basis(g1, g2)
-        point = self._points[(g1, g2)]
+        basis, point = self._basis(g1, g2)
         if point is not None:
             beta, gamma, s2, s1, shifts = point
             q2, q1, r = _point_quotients(hterms, beta, gamma, field.one)

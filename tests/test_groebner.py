@@ -108,7 +108,7 @@ def test_tracking_invariant_on_basis():
 
 def test_normal_form_is_idempotent_and_tracked():
     g1, g2 = gen_pair(N3)
-    basis = MembershipSolver()._basis(g1, g2)
+    basis, _ = MembershipSolver()._basis(g1, g2)
     gens = _rabinowitsch_gens(g1, g2)
     rng = random.Random(19)
     for _ in range(30):
@@ -463,7 +463,7 @@ def point_queries(draw):
 @given(point_queries())
 def test_point_route_matches_tracked_normal_form(case):
     field, g1, g2, h = case
-    basis = MembershipSolver()._basis(g1, g2)
+    basis, _ = MembershipSolver()._basis(g1, g2)
     assert [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
     beta, gamma = -basis[1][0][(0, 0, 0)], -basis[2][0][(0, 0, 0)]
     assert (gamma, beta) == (field.one, field.q_power(-1))
