@@ -459,26 +459,43 @@ def point_queries(draw):
     return field, g1, g2, u1 * g1 + u2 * g2 + off
 
 
-@settings(max_examples=80, deadline=None)
-@given(point_queries())
-def test_point_route_matches_tracked_normal_form(case):
-    field, g1, g2, h = case
+def _check_point_quotients(field, g1, g2, h):
+    """h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with Q2 polynomial, Q1 in
+    k[Y1] and r = h_hat(gamma, beta), at the point basis of (g1, g2)."""
     basis, _ = MembershipSolver()._basis(g1, g2)
     assert [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
     beta, gamma = -basis[1][0][(0, 0, 0)], -basis[2][0][(0, 0, 0)]
     assert (gamma, beta) == (field.one, field.q_power(-1))
+    _, terms = h._poly_normalize()
+    h_hat = LaurentPoly(field, terms)
+    q2, q1, r = _point_quotients(terms, beta, gamma, field.one)
+    assert all(a >= 0 and b >= 0 for a, b in q2) and all(e[1] == 0 for e in q1)
+    assert r == h_hat.evaluate_at(gamma, beta)
+    y2_beta = y2(field) - LaurentPoly.constant(field, beta)
+    y1_gamma = y1(field) - LaurentPoly.constant(field, gamma)
+    rest = _of(field, q2) * y2_beta + _of(field, q1) * y1_gamma
+    assert rest + LaurentPoly.constant(field, r) == h_hat
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q2", "q3", "q5", "q7", "symbolic"])
+def test_point_quotients_divide_at_the_point(field):
+    rng = random.Random(29)
+    for ideal in (image_ideal, image_ideal_alt):
+        g1, g2 = ideal(field)
+        for _ in range(10):
+            u1, u2 = rand_laurent(rng, field, 4, 3), rand_laurent(rng, field, 4, 3)
+            h = u1 * g1 + u2 * g2
+            if not h.is_zero:
+                _check_point_quotients(field, g1, g2, h)
+            _check_point_quotients(field, g1, g2, h + mono(field, 1, 2, -1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_queries())
+def test_point_route_matches_tracked_normal_form(case):
+    field, g1, g2, h = case
     if not h.is_zero:
-        # h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with Q1 in k[Y1] and
-        # r = h_hat(gamma, beta)
-        _, terms = h._poly_normalize()
-        h_hat = LaurentPoly(field, terms)
-        q2, q1, r = _point_quotients(terms, beta, gamma, field.one)
-        assert all(a >= 0 and b >= 0 for a, b in q2) and all(e[1] == 0 for e in q1)
-        assert r == h_hat.evaluate_at(gamma, beta)
-        y2_beta = y2(field) - LaurentPoly.constant(field, beta)
-        y1_gamma = y1(field) - LaurentPoly.constant(field, gamma)
-        rest = _of(field, q2) * y2_beta + _of(field, q1) * y1_gamma
-        assert rest + LaurentPoly.constant(field, r) == h_hat
+        _check_point_quotients(field, g1, g2, h)
     point = MembershipSolver().membership(h, g1, g2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_POINT_LMS", None)
