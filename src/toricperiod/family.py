@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _of
 from .localfield import (
     Mat2,
     P1Class,
@@ -271,7 +271,7 @@ def random_table(p, n, seed):
             c = rng.choice(coeffs)
             e = (rng.randint(-2, 2), rng.randint(-2, 2))
             terms[e] = terms[e] + c if e in terms else c
-        values[cls] = LaurentPoly(field, terms)
+        values[cls] = _of(field, {e: c for e, c in terms.items() if c})
     return TableVector(p, n, values)
 
 

@@ -47,11 +47,16 @@ only the coefficients +-1 and +-q^{+-1}, so the kernels give unit and
 q-monomial factors no scalar product: `_sub_multiple` passes a basis
 coefficient +-1 on as -c or c, `_horner` and `_root_refutes` skip the
 powers of a root equal to one (gamma = 1 here), the Laurent products that
-form the point-route cofactors and re-expand them in
-`Certificate.holds_for` pass inner scalars on as they are for an outer
-+-1, and over QSymbolic a factor c*q^m is a shift of exponents.  The check
-itself is unchanged: every certificate is re-expanded in full, term by
-term, over exact scalars.
+form the point-route cofactors pass inner scalars on as they are for an
+outer +-1, and over QSymbolic a factor c*q^m is a shift of exponents.
+
+`Certificate.holds_for` re-expands every certificate in full, term by
+term, but over integers: each field flattens its scalars into rows
+(q-exponent, numerator, denominator), clearing first any QSymbolic
+denominator that is not a power of q, and the terms of -h, u1*g1 and
+u2*g2 are summed per (e1, e2, q-exponent) as unreduced fractions, which
+is exact and needs no gcd.  It returns only a boolean, so no sum is turned
+back into a scalar, and it forms no LaurentPoly product or sum.
 """
 
 from __future__ import annotations
@@ -291,8 +296,10 @@ class Certificate:
     """Explicit Laurent cofactors witnessing h = u1*g1 + u2*g2.
 
     `verified` is always true: `MembershipSolver.membership` re-expands
-    every certificate and raises `CertificateError` instead of returning
-    one that fails.  It stays in the JSON so that the shape is unchanged.
+    every certificate with `holds_for`, an exact integer check of the
+    identity term by term, and raises `CertificateError` instead of
+    returning one that fails.  It stays in the JSON so that the shape is
+    unchanged.
     """
 
     u1: LaurentPoly
@@ -300,7 +307,38 @@ class Certificate:
     verified = True
 
     def holds_for(self, h, g1, g2):
-        return self.u1 * g1 + self.u2 * g2 == h
+        """True exactly when u1*g1 + u2*g2 == h, checked term by term.
+
+        Each scalar is flattened by its field into integer rows (e1, e2, j,
+        n, d) for its terms n/d*q^j (`flat_terms`; over QSymbolic a
+        denominator that is not a power of q is first cleared from every
+        side).  -h and every product of a cofactor row with a generator row
+        are summed per key (e1, e2, j) as an unreduced fraction: numerators
+        add over equal denominators and cross-multiply otherwise.  The
+        identity holds when every numerator is 0.
+        """
+        field = h.field
+        if any(p.field != field for p in (self.u1, self.u2, g1, g2)):
+            raise FieldMismatch("certificate arguments live in different fields")
+        hs, u1s, u2s, g1s, g2s = field.flat_terms(
+            (h.terms, self.u1.terms, self.u2.terms, g1.terms, g2.terms), (2, 1, 1, 1, 1)
+        )
+        acc = {(e1, e2, j): (-n, d) for e1, e2, j, n, d in hs}
+        for us, gs in ((u1s, g1s), (u2s, g2s)):
+            if len(us) < len(gs):
+                us, gs = gs, us
+            for b1, b2, bj, bn, bd in gs:
+                for a1, a2, aj, an, ad in us:
+                    key = (a1 + b1, a2 + b2, aj + bj)
+                    n, d = an * bn, ad * bd
+                    s = acc.get(key)
+                    if s is None:
+                        acc[key] = (n, d)
+                    elif s[1] == d:
+                        acc[key] = (s[0] + n, d)
+                    else:
+                        acc[key] = (s[0] * d + n * s[1], s[1] * d)
+        return not any(n for n, _ in acc.values())
 
     def to_json(self):
         return {

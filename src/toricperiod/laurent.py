@@ -62,9 +62,10 @@ class LaurentPoly:
     Terms map exponent pairs (e1, e2) to nonzero scalars.  All operators
     demand equal descriptors; use embed to move between fields.  The
     constructor checks outside input; the arithmetic builds through `_of`.
+    Only those two write `terms`, so the hash is computed once, on first use.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_hash")
 
     def __init__(self, field, terms=None):
         self.field = field
@@ -193,7 +194,11 @@ class LaurentPoly:
         return self.terms == o.terms
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field, frozenset(self.terms.items())))
+            return self._hash
 
     def __bool__(self):
         return bool(self.terms)

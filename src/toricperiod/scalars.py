@@ -547,6 +547,17 @@ class QNumeric:
     def rational_part(self, x):
         return Fraction(x)
 
+    def flat_terms(self, dicts, powers):
+        """Each term dict as rows (e1, e2, 0, n, d) with its scalar n/d.
+
+        powers is unused: a rational has no q-polynomial denominator to
+        clear (see `QSymbolic.flat_terms`).
+        """
+        return [
+            [(e1, e2, 0, c.numerator, c.denominator) for (e1, e2), c in terms.items()]
+            for terms in dicts
+        ]
+
     def __eq__(self, other):
         return isinstance(other, QNumeric) and other.q == self.q
 
@@ -580,6 +591,36 @@ class QSymbolic:
 
     def rational_part(self, x):
         return self.coerce(x).as_fraction()
+
+    def flat_terms(self, dicts, powers):
+        """Each term dict times L**power as rows (e1, e2, j, n, d), one per
+        term n/d*q^j of each scalar's q-Laurent numerator.
+
+        L is the lcm of the denominators that are not powers of q (L = 1
+        when there are none, the usual case), and each power is at least 1,
+        so the scaled scalars are q-Laurent polynomials.  Scaling an
+        identity's sides by L**power keeps it true or false, which is all a
+        certificate check asks.
+        """
+        dens = {c.den for terms in dicts for c in terms.values() if c.den != _DEN1}
+        if dens:
+            lcm = _DEN1
+            for den in dens:
+                lcm = pmul(lcm, pdiv_exact(den, pgcd(lcm, den)))
+            lcm = _new(_terms(lcm))
+            scaled = []
+            for terms, k in zip(dicts, powers):
+                factor = lcm**k
+                scaled.append({e: c * factor for e, c in terms.items()})
+            dicts = scaled
+        return [
+            [
+                (e1, e2, j, x.numerator, x.denominator)
+                for (e1, e2), c in terms.items()
+                for j, x in c.num.items()
+            ]
+            for terms in dicts
+        ]
 
     def __eq__(self, other):
         return isinstance(other, QSymbolic)

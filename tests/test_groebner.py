@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricperiod import groebner
+from toricperiod import groebner, scalars
 from toricperiod.groebner import (
     _POINT_LMS,
     Certificate,
@@ -23,7 +23,7 @@ from toricperiod.groebner import (
 )
 from toricperiod.laurent import LaurentPoly, NotDivisible, _of, mono, one, qpow, y1, y2, zero
 from toricperiod.period import image_ideal, image_ideal_alt
-from toricperiod.scalars import QNumeric, QSymbolic, RationalFunction
+from toricperiod.scalars import FieldMismatch, QNumeric, QSymbolic, RationalFunction
 
 S = QSymbolic()
 N3 = QNumeric(3)
@@ -582,6 +582,144 @@ def test_tampered_certificate_fails_the_check(field):
             cofs[i] = bad
             assert not Certificate(*cofs).holds_for(h, g1, g2)
     assert seen["unit"] and seen["q-monomial"]
+
+
+# -- the integer certificate check --------------------------------------------------------
+#
+# holds_for flattens every scalar to integer rows and sums them per
+# exponent; the product-and-compare check it replaced stays here as the
+# reference.
+
+
+def reference_holds(cert, h, g1, g2):
+    return cert.u1 * g1 + cert.u2 * g2 == h
+
+
+# Q(q) scalars whose denominators are not powers of q, among q-Laurent ones.
+_SYMBOLIC_BLOCKS = [
+    RationalFunction((1,)),
+    RationalFunction((0, 1)),
+    RationalFunction((1,), (0, 1)),
+    RationalFunction((1,), (1, 1)),
+    RationalFunction((-2, 0, 1), (1, 0, 1)),
+    RationalFunction((3, 0, 0, 1), (0, 1)),
+    RationalFunction((1, -1), (1, -1, 1)),
+]
+
+
+@st.composite
+def kernel_scalars(draw, field):
+    c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 12)))
+    if not field.is_symbolic:
+        return field.from_fraction(c) * field.q_power(draw(st.integers(-3, 3)))
+    return field.from_fraction(c) * draw(st.sampled_from(_SYMBOLIC_BLOCKS))
+
+
+@st.composite
+def kernel_polys(draw, field, max_terms=4):
+    # a small box, so that products meet on shared keys
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = (draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+        terms[e] = draw(kernel_scalars(field))
+    return LaurentPoly(field, terms)
+
+
+def _smallest_step(field, c):
+    """The least change of c's integer rows: 1/d on the numerator term n/d*q^j."""
+    if not field.is_symbolic:
+        return Fraction(1, c.denominator)
+    j, x = min(c.num.items())
+    return field.q_power(j) * Fraction(1, x.denominator)
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    g1, g2, u1, u2 = (draw(kernel_polys(field)) for _ in range(4))
+    h = u1 * g1 + u2 * g2
+    how = draw(st.sampled_from(["exact", "h-step", "u-step", "stray"]))
+    if how == "h-step" and h:
+        e = draw(st.sampled_from(sorted(h.terms)))
+        h = LaurentPoly(field, {**h.terms, e: h.terms[e] + _smallest_step(field, h.terms[e])})
+    elif how == "u-step" and u1 and g1:
+        e = draw(st.sampled_from(sorted(u1.terms)))
+        u1 = LaurentPoly(field, {**u1.terms, e: u1.terms[e] + _smallest_step(field, u1.terms[e])})
+    elif how == "stray":
+        e = (draw(st.integers(-8, 8)), draw(st.integers(-8, 8)))
+        h = h + LaurentPoly.monomial(field, draw(kernel_scalars(field)), *e)
+    else:
+        how = "exact"
+    return field, Certificate(u1, u2), h, g1, g2, how
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_integer_check_agrees_with_the_product(case):
+    field, cert, h, g1, g2, how = case
+    holds = cert.holds_for(h, g1, g2)
+    assert holds == reference_holds(cert, h, g1, g2)
+    assert holds == (how == "exact")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q2", "q3", "q5", "q7", "symbolic"])
+def test_integer_check_clears_non_power_denominators(field):
+    # Scalars 1/(1 + q) (or 1/(1 + q) at q = p) in a generator and a
+    # cofactor: the check clears them from every side, and a change of one
+    # coefficient by its smallest step still shows.
+    inv = field.one / (field.one + field.q_power(1))
+    g1, g2 = image_ideal(field)
+    g1 = g1 + LaurentPoly.monomial(field, inv, 1, 2)
+    # at Y1^(-1), inv*1 from u1 meets q*(-Y1) from u1 over different denominators
+    u1 = LaurentPoly.monomial(field, inv, -1, 0) + qpow(field, 1) * y1(field, -2) + y2(field, 3)
+    u2 = LaurentPoly.monomial(field, field.q_power(-2) - inv, 0, 1)
+    h = u1 * g1 + u2 * g2
+    cert = Certificate(u1, u2)
+    assert cert.holds_for(h, g1, g2)
+    e = (0, 1)
+    c = h.terms[e]
+    bumped = LaurentPoly(field, {**h.terms, e: c + _smallest_step(field, c)})
+    assert not cert.holds_for(bumped, g1, g2)
+    assert not reference_holds(cert, bumped, g1, g2)
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_integer_check_forms_no_laurent_or_scalar_values(field, monkeypatch):
+    # A q-Laurent certificate is re-expanded with no LaurentPoly sum or
+    # product and no Fraction or RationalFunction built.
+    g1, g2 = image_ideal(field)
+    h = _basis_only_member(field)
+    cert = MembershipSolver().membership(h, g1, g2)
+    assert not cert.u1.is_zero and not cert.u2.is_zero
+    bad = h + y1(field, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar or Laurent arithmetic in the check")
+
+    with monkeypatch.context() as m:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__eq__"):
+            m.setattr(LaurentPoly, name, refuse)
+        for name in ("__mul__", "__add__", "__init__"):
+            m.setattr(RationalFunction, name, refuse)
+        m.setattr(scalars, "_new", refuse)
+        m.setattr(Fraction, "__new__", refuse)
+        assert cert.holds_for(h, g1, g2)
+        assert not cert.holds_for(bad, g1, g2)
+
+
+def test_integer_check_refuses_mixed_fields():
+    g1, g2 = image_ideal(N3)
+    h = _basis_only_member(N3)
+    cert = MembershipSolver().membership(h, g1, g2)
+    other = QNumeric(5)
+    with pytest.raises(FieldMismatch):
+        cert.holds_for(h.embed(other), g1, g2)
+    with pytest.raises(FieldMismatch):
+        cert.holds_for(h, g1, g2.embed(other))
+    with pytest.raises(FieldMismatch):
+        cert.holds_for(h.embed(S), g1.embed(S), g2.embed(S))
+    with pytest.raises(FieldMismatch):
+        Certificate(cert.u1, cert.u2.embed(S)).holds_for(h, g1, g2)
 
 
 @pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])

@@ -98,6 +98,26 @@ def test_only_of_skips_the_checked_constructor():
     assert inside == 1 and outside == []
 
 
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_hash_is_taken_once_and_agrees_across_constructors(field, monkeypatch):
+    q = field.q_power
+    items = [((1, -2), q(-1)), ((0, 0), field.one), ((3, 1), -field.one - q(2))]
+    checked = LaurentPoly(field, dict(items))
+    unchecked = laurent._of(field, dict(reversed(items)))
+    assert list(checked.terms) != list(unchecked.terms)
+    built = []
+
+    def counting(iterable):
+        built.append(1)
+        return frozenset(iterable)
+
+    monkeypatch.setattr(laurent, "frozenset", counting, raising=False)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert len(built) == 2
+    assert hash(checked) == hash(unchecked) == hash((field, frozenset(items)))
+    assert len(built) == 2
+
+
 # -- the product against a schoolbook reference ---------------------------------
 
 
