@@ -78,13 +78,19 @@ def _displayer(mode):
     return lambda v: v.to_y_display()
 
 
-def _emit(text, out):
-    """Write a command's output to the --out file, or to stdout without one."""
-    if out:
+def _emit(text, out, code):
+    """Write a command's output to the --out file, or to stdout without one,
+    and return its exit code: EXIT_USAGE when --out cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 def _zpoly_display(window, disp):
@@ -174,8 +180,7 @@ def cmd_identities(args):
         else:
             failures += 1
             lines.append(f"FAIL {name}: {complaint}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_FALSIFIED if failures else EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out, EXIT_FALSIFIED if failures else EXIT_OK)
 
 
 # -- theorem trials ------------------------------------------------------------------
@@ -226,8 +231,7 @@ def cmd_theorem(args):
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
     lines.append(json.dumps(summary))
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_FALSIFIED if failures else EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out, EXIT_FALSIFIED if failures else EXIT_OK)
 
 
 # -- single-vector reports -----------------------------------------------------------
@@ -295,8 +299,9 @@ def cmd_period(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = verify_image(vec, field=field)
-    _emit(period_report_json(report) + "\n", args.out)
-    return EXIT_OK if report.member else EXIT_FALSIFIED
+    return _emit(
+        period_report_json(report) + "\n", args.out, EXIT_OK if report.member else EXIT_FALSIFIED
+    )
 
 
 # -- ideal structure -----------------------------------------------------------------

@@ -8,15 +8,18 @@ a rational series with denominator dividing (1 - Y1 Z)(1 - Y2 Z): l(f) is
 the cleared polynomial (1 - Y1 Z)(1 - Y2 Z) I(f, Z) at Z = 1, which sits at
 the unramified twist point.  With c_k = f(1) g2 h_k + Y2^k J_k, the
 spherical half clears to f(1) g2, and (1 - Y2 Z) telescopes the big-cell
-half to the steps D_k of `whittaker`, so
+half to U(f), the sum of Y2^k (J_k - J_{k-1}), so
 
-    l(f) = f(1) * g2 + g1 * U(f),    U(f) = sum over k of Y2^k D_k,
+    l(f) = f(1) * g2 + g1 * U(f),
+    U(f) = q^{-L} F0 Y2^{-L} + (q Y2 - 1) * w * sum over v of S_v Y2^{-v-1},
 
-with g1 = 1 - Y1 and g2 = 1 - q^{-1} Y1 Y2^{-1}.  `toric_period` evaluates
-this closed form, and it puts every period in the ideal (g1, g2);
-`verify_image` certifies that membership for a given vector.  The
-spherical vector's own period is g2; dividing by it normalizes periods
-against the spherical line.
+with g1 = 1 - Y1, g2 = 1 - q^{-1} Y1 Y2^{-1}, w = 1 / (q^L (q - 1)), and
+F0 and the shell sums S_v the big-cell profile of `whittaker` (the markers
+are profiles of level 0 with no shells).  `toric_period` evaluates this
+closed form in one sweep of the shells, and it puts every period in the
+ideal (g1, g2); `verify_image` certifies that membership for a given
+vector.  The spherical vector's own period is g2; dividing by it
+normalizes periods against the spherical line.
 
 `zeta_window` and `cleared_window` keep the definition as the reference
 route: an exact finite window of I(f, Z), cleared, with a guard zone

@@ -31,13 +31,13 @@ f_w(w n(u)) over representatives with v(u) = v:
 
 for k >= -L.  Below -L, J_k vanishes: inside p^L Z_p the ball p^{-k} Z_p
 carries weight 1, and the shell v = -k-1, of (q - 1) times its volume,
-weight -1/(q-1).  From L - 1 on it is constant, so J_k is the prefix sum
-over j <= k of the steps
+weight -1/(q-1).  The big-cell half of the period is U(f), the sum of
+Y2^k (J_k - J_{k-1}); each S_v enters it as q w S_v at k = -v and as
+-w S_v at k = -v - 1, with w = 1 / (q^L (q - 1)), so in one sweep
 
-    D_{-L} = q^{-L} * (F0 - S_{L-1} / (q - 1)),
-    D_k    = q^{-L} * (q * S_{-k} - S_{-k-1}) / (q - 1),   -L < k < L,
+    U(f) = q^{-L} F0 Y2^{-L} + (q Y2 - 1) * w * sum over v of S_v Y2^{-v-1}.
 
-which also give the period (see `period_parts`).
+The markers are profiles too, of level 0 with no shells.
 
 F0 and the S_v are read without forming a group element: w n(u) has an
 explicit Iwasawa form, so each S_v is a sum of the class values of f over
@@ -109,10 +109,11 @@ class BigCellProfile:
     `identity` is f(1), so f = identity * spherical + f_w; `at_weyl` is
     f_w(w), the profile on the zero class p^L Z_p; `shells[v]` is the sum of
     f_w(w n(u)) over the coset representatives u of valuation v, left out
-    when it is zero.
+    when it is zero.  A marker is a level-0 profile with no shells, from
+    which neither J_k nor U(f) reads p, so its `p` is None.
     """
 
-    p: int
+    p: int | None
     level: int
     identity: LaurentPoly
     at_weyl: LaurentPoly
@@ -168,55 +169,48 @@ def big_cell_profile(f):
     return BigCellProfile(p, L, identity, at_weyl, shells)
 
 
-def _steps(profile):
-    """The nonzero steps D_k = J_k - J_{k-1} of the profile, keyed by k."""
-    p, L = profile.p, profile.level
-    zero = LaurentPoly.zero(profile.at_weyl.field)
-    shells = profile.shells
-    steps = {-L: profile.at_weyl.scale(p - 1) - shells.get(L - 1, zero)}
-    for k in range(1 - L, L):
-        steps[k] = shells.get(-k, zero).scale(p) - shells.get(-k - 1, zero)
-    weight = Fraction(1, p**L * (p - 1))
-    return {k: d.scale(weight) for k, d in steps.items() if not d.is_zero}
-
-
-def _identity_and_steps(f, field, profile=None):
-    """(f(1), {k: D_k}): (1, {}) for the spherical marker, (0, {0: 1}) for
-    the Iwahori marker, and read off `big_cell_profile(f)` otherwise."""
+def _profile(f, field, profile=None):
+    """The profile of f over field; a marker's has level 0, no shells and
+    (identity, at_weyl) = (1, 0) for SPH and (0, 1) for PHI_W."""
     if isinstance(f, Spherical):
-        return LaurentPoly.one(field), {}
+        return BigCellProfile(None, 0, LaurentPoly.one(field), LaurentPoly.zero(field), {})
     if isinstance(f, IwahoriPhiW):
-        return LaurentPoly.zero(field), {0: LaurentPoly.one(field)}
-    if profile is None:
-        profile = big_cell_profile(f)
-    return profile.identity, _steps(profile)
+        return BigCellProfile(None, 0, LaurentPoly.zero(field), LaurentPoly.one(field), {})
+    return big_cell_profile(f) if profile is None else profile
 
 
 def period_parts(f, field=None):
-    """(f(1), U(f)) with U(f) = sum of Y2^k D_k, so l(f) = f(1) * g2 + g1 * U(f).
-
-    The spherical marker gives (1, 0) and the Iwahori marker (0, 1).
-    """
+    """(f(1), U(f)), so l(f) = f(1) * g2 + g1 * U(f), with U(f) summed in one
+    sweep of the shells as the module docstring states."""
     field = vector_field(f, field)
-    identity, steps = _identity_and_steps(f, field)
-    u = LaurentPoly.zero(field)
-    for k, d in steps.items():
-        u = u + d.shift(0, k)
-    return identity, u
+    profile = _profile(f, field)
+    p, L = profile.p, profile.level
+    u = profile.at_weyl.shift(0, -L).scale(field.q_power(-L))
+    merged = {}
+    for v, s in profile.shells.items():
+        add_into(merged, s.shift(0, -v - 1).terms)
+    if merged:
+        w = Fraction(1, p**L * (p - 1))
+        u = u + LaurentPoly(field, {(0, 1): p * w, (0, 0): -w}) * _of(field, merged)
+    return profile.identity, u
 
 
 def whittaker_coefficient(f, k, field=None, profile=None):
     """The coefficient c_k(f), exactly.
 
-    c_k(f) = f(1) * (1 - q^{-1} Y1 Y2^{-1}) * h_k + Y2^k * J_k with J_k the
-    prefix sum of the steps, so c_k(phi_w) = Y2^k for k >= 0.  Symbolic
-    markers live over the supplied field; other vectors are integrated at
-    their prime, and a caller reading many k passes their profile.
+    c_k(f) = f(1) * (1 - q^{-1} Y1 Y2^{-1}) * h_k + Y2^k * J_k with J_k read
+    off the shells as the module docstring states, so c_k(phi_w) = Y2^k for
+    k >= 0.  Symbolic markers live over the supplied field; other vectors
+    are integrated at their prime, and a caller reading many k passes their
+    profile.
     """
     field = vector_field(f, field)
-    identity, steps = _identity_and_steps(f, field, profile)
-    out = identity * cs_factor_regularized(field) * shintani_sph(field, k)
-    j = sum((d for i, d in steps.items() if i <= k), LaurentPoly.zero(field))
-    if not j.is_zero:
-        out = out + j.shift(0, k)
-    return out
+    profile = _profile(f, field, profile)
+    out = profile.identity * cs_factor_regularized(field) * shintani_sph(field, k)
+    if k < -profile.level:
+        return out
+    shells = profile.shells
+    j = sum((s for v, s in shells.items() if v >= -k), profile.at_weyl)
+    if -k - 1 in shells:
+        j = j - shells[-k - 1].scale(Fraction(1, profile.p - 1))
+    return out + j.shift(0, k).scale(field.q_power(-profile.level))

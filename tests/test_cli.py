@@ -290,6 +290,34 @@ def test_period_bad_documents(tmp_path, capsys):
     assert code == 2 and "missing" in err
 
 
+@pytest.mark.parametrize("command", ["identities", "theorem", "period"])
+def test_unwritable_out_is_a_usage_error(tmp_path, command):
+    # An --out under a missing directory is the caller's mistake: exit 2 with
+    # one error line, not a traceback and exit 1, which reads as falsified.
+    doc = tmp_path / "sph.json"
+    doc.write_text(json.dumps({"symbolic": "sph"}))
+    argv = {
+        "identities": ["identities"],
+        "theorem": ["theorem", "--p", "2", "--level", "1", "--trials", "1"],
+        "period": ["period", "--input", str(doc)],
+    }[command]
+    out = tmp_path / "missing" / "out.txt"
+    src = str(Path(toricperiod.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricperiod.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def _write_doc(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

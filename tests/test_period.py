@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
-from toricperiod import groebner, period, scalars
+from toricperiod import groebner, period, scalars, whittaker
 from toricperiod.cli import main
 from toricperiod.groebner import Certificate, MembershipSolver
 from toricperiod.laurent import (
@@ -73,10 +73,11 @@ def test_symbolic_markers_require_field():
         toric_period(SPH)
 
 
-def test_marker_period_parts():
+@pytest.mark.parametrize("field", [S, QNumeric(3)], ids=["QSymbolic", "QNumeric3"])
+def test_marker_period_parts(field):
     # l(f) = f(1) g2 + g1 U(f): the spherical vector is (1, 0), the Iwahori one (0, 1)
-    assert period_parts(SPH, S) == (one(S), zero(S))
-    assert period_parts(PHI_W, S) == (zero(S), one(S))
+    assert period_parts(SPH, field) == (one(field), zero(field))
+    assert period_parts(PHI_W, field) == (zero(field), one(field))
 
 
 def test_mixed_primes_raise_field_mismatch():
@@ -457,6 +458,20 @@ def test_zeta_window_extent():
     assert (w2.k_min, w2.k_max) == (-4, 6)
     assert w2.coefficient(-4).is_zero
     assert w2.coefficient(2) == y2(QNumeric(3), 2)
+
+
+def test_zeta_window_profiles_a_table_once(monkeypatch):
+    # Every coefficient of the window reads the profile zeta_window passes.
+    counts = {period: 0, whittaker: 0}
+    for module in counts:
+
+        def count(f, module=module, real=module.big_cell_profile):
+            counts[module] += 1
+            return real(f)
+
+        monkeypatch.setattr(module, "big_cell_profile", count)
+    zeta_window(random_table(3, 2, seed=5))
+    assert counts == {period: 1, whittaker: 0}
 
 
 def test_tail_violation_raises_after_one_window(monkeypatch):

@@ -233,11 +233,12 @@ def test_table_profile_forms_no_group_element(monkeypatch):
 # -- engine coefficients ---------------------------------------------------------------
 
 
-def test_marker_closed_forms():
-    assert whittaker_coefficient(SPH, 2, S) == cs_factor_regularized(S) * shintani_sph(S, 2)
-    assert whittaker_coefficient(PHI_W, 3, S) == y2(S, 3)
-    assert whittaker_coefficient(PHI_W, 0, S) == one(S)
-    assert whittaker_coefficient(PHI_W, -1, S).is_zero
+@pytest.mark.parametrize("F", [S, QNumeric(3)], ids=["QSymbolic", "QNumeric3"])
+def test_marker_closed_forms(F):
+    assert whittaker_coefficient(SPH, 2, F) == cs_factor_regularized(F) * shintani_sph(F, 2)
+    assert whittaker_coefficient(PHI_W, 3, F) == y2(F, 3)
+    assert whittaker_coefficient(PHI_W, 0, F) == one(F)
+    assert whittaker_coefficient(PHI_W, -1, F).is_zero
     with pytest.raises(ValueError):
         whittaker_coefficient(SPH, 0)
 
