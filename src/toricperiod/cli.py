@@ -21,6 +21,7 @@ import time
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import period
 from .family import (
     PHI_W,
     SPH,
@@ -31,7 +32,6 @@ from .family import (
     sph_table,
     vector_from_json,
 )
-from .groebner import MembershipSolver
 from .laurent import ZPoly, one, qpow, y1, y2
 from .period import (
     cleared_window,
@@ -144,30 +144,22 @@ def _identity_checks(disp, sabotage):
         f"got {_zpoly_display(cleared, disp)}",
     )
 
-    solver = MembershipSolver()
-    certs = solver.ideal_equal(image_ideal(field), image_ideal_alt(field))
-    yield (
-        "presentation-equality",
-        certs is not None,
-        "both generator pairs span the same ideal, four certificates verified",
-        "presentations differ",
-    )
-
-    g1, g2 = image_ideal(field)
-    yield (
-        "ideal-proper",
-        solver.is_proper(g1, g2),
-        "1 does not lie in the image ideal",
-        "ideal contains 1",
-    )
-
-    principal, _ = solver.is_principal_pair(g1, g2)
-    yield (
-        "ideal-not-principal",
-        not principal,
-        "the image ideal admits no single generator",
-        "ideal is principal",
-    )
+    for name, check, detail, complaint in (
+        (
+            "presentation-equality",
+            "equality",
+            "both generator pairs span the same ideal, four certificates verified",
+            "presentations differ",
+        ),
+        ("ideal-proper", "proper", "1 does not lie in the image ideal", "ideal contains 1"),
+        (
+            "ideal-not-principal",
+            "principal",
+            "the image ideal admits no single generator",
+            "ideal is principal",
+        ),
+    ):
+        yield name, _ideal_check(check, field)[0], detail, complaint
 
 
 def cmd_identities(args):
@@ -289,8 +281,9 @@ def cmd_period(args):
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # JSONDecodeError, and the int-conversion limit on an overlong literal
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the int-conversion limit on an overlong literal,
+        # and nesting past the interpreter's recursion limit
         print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -307,25 +300,34 @@ def cmd_period(args):
 # -- ideal structure -----------------------------------------------------------------
 
 
+def _ideal_check(check, field):
+    """(passed, JSON detail) for one structure check of image_ideal(field).
+
+    check is "equality" (both presentations span one ideal, with the four
+    certificates), "principal" (no single generator, with the gcd that
+    would be it) or "proper" (1 is not a member).  Every question goes to
+    period._IMAGE_SOLVER, read at call time, so its bases are built once
+    per field and process.
+    """
+    solver = period._IMAGE_SOLVER
+    g1, g2 = image_ideal(field)
+    if check == "equality":
+        certs = solver.ideal_equal((g1, g2), image_ideal_alt(field))
+        if certs is None:
+            return False, {}
+        return True, {"certificates": [c.to_json() for c in certs]}
+    if check == "principal":
+        principal, gcd = solver.is_principal_pair(g1, g2)
+        return not principal, {"gcd": gcd.to_json_terms()}
+    return solver.is_proper(g1, g2), {}
+
+
 def cmd_ideal(args):
     if args.q == "symbolic":
         field = QSymbolic()
     else:
         field = QNumeric(args.q)
-    solver = MembershipSolver()
-    g1, g2 = image_ideal(field)
-    detail = {}
-    if args.check == "equality":
-        certs = solver.ideal_equal((g1, g2), image_ideal_alt(field))
-        ok = certs is not None
-        if ok:
-            detail["certificates"] = [c.to_json() for c in certs]
-    elif args.check == "principal":
-        principal, gcd = solver.is_principal_pair(g1, g2)
-        ok = not principal
-        detail["gcd"] = gcd.to_json_terms()
-    else:
-        ok = solver.is_proper(g1, g2)
+    ok, detail = _ideal_check(args.check, field)
     blob = {"check": args.check, "q": args.q, "pass": ok}
     blob.update(detail)
     print(json.dumps(blob))

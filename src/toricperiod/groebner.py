@@ -42,13 +42,13 @@ the size of everything reduced so far.  The leading-term choice and the
 divisor order are fixed (grevlex maximum, first divisor in basis order), so
 with canonical scalars the certificates do not depend on that bookkeeping.
 
-The image ideal's generators, its reduced basis and the basis reps have
-only the coefficients +-1 and +-q^{+-1}, so the kernels give unit and
-q-monomial factors no scalar product: `_sub_multiple` passes a basis
-coefficient +-1 on as -c or c, `_horner` and `_root_refutes` skip the
-powers of a root equal to one (gamma = 1 here), the Laurent products that
-form the point-route cofactors pass inner scalars on as they are for an
-outer +-1, and over QSymbolic a factor c*q^m is a shift of exponents.
+The per-query kernels give unit and q-monomial factors no scalar product:
+`_horner` and `_root_refutes` skip the powers of a root equal to one
+(gamma = 1 for the image ideal), the Laurent products that form the
+point-route cofactors pass inner scalars on as they are for an outer +-1,
+and over QSymbolic a factor c*q^m is a shift of exponents.  `_sub_multiple`
+forms every product: for a point ideal it runs only in the basis build,
+once per cached basis.
 
 `Certificate.holds_for` re-expands every certificate in full, term by
 term, but over integers: each field flattens its scalars into rows
@@ -98,21 +98,18 @@ def _substitute_u(field, terms, shift):
     return _of(field, {e: v for e, v in out.items() if v})
 
 
-def _sub_multiple(dsts, srcs, c, shift, units):
+def _sub_multiple(dsts, srcs, c, shift):
     """dst -= c * x^shift * src for each pair of term dicts, in place.
 
     Cancelled terms are dropped.  Called with (work, *reps) and a basis
-    entry (poly, *entry_reps), it keeps the tracking identity.  units is
-    the field's (one, -one); a source coefficient equal to either
-    contributes -c or c with no product.
+    entry (poly, *entry_reps), it keeps the tracking identity.
     """
     s0, s1, s2 = shift
-    one, minus_one = units
     minus_c = -c
     for dst, src in zip(dsts, srcs):
         for (a, b, u), v in src.items():
             key = (a + s0, b + s1, u + s2)
-            t = minus_c if v == one else c if v == minus_one else v * minus_c
+            t = v * minus_c
             if key in dst:
                 left = dst[key] + t
                 if left:
@@ -123,7 +120,7 @@ def _sub_multiple(dsts, srcs, c, shift, units):
                 dst[key] = t
 
 
-def _tracked_nf(poly, reps, basis, one):
+def _tracked_nf(poly, reps, basis):
     """Fully reduce poly against basis, preserving the tracking identity.
 
     Returns (remainder, reps) as fresh term dicts; the inputs are not
@@ -137,9 +134,7 @@ def _tracked_nf(poly, reps, basis, one):
     Each step takes the grevlex-largest term of the working polynomial and
     the first basis element, in basis order, whose leading monomial divides
     it, so the remainder and the reps do not depend on how the dicts are kept.
-    one is the field's unit scalar.
     """
-    units = (one, -one)
     work = dict(poly)
     reps = tuple(dict(r) for r in reps)
     rem = {}
@@ -150,7 +145,7 @@ def _tracked_nf(poly, reps, basis, one):
         for (lm, lc), entry in lts:
             if _divides(lm, e):
                 shift = (e[0] - lm[0], e[1] - lm[1], e[2] - lm[2])
-                _sub_multiple((work, *reps), (entry[0], *entry[1]), c / lc, shift, units)
+                _sub_multiple((work, *reps), (entry[0], *entry[1]), c / lc, shift)
                 break
         else:
             rem[e] = work.pop(e)
@@ -226,10 +221,9 @@ def _spoly(f, g, one):
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     work = {}
     reps = tuple({} for _ in f[1])
-    units = (one, -one)
     for (poly, entry_reps), c, e in ((f, -(one / cf), ef), (g, one / cg, eg)):
         shift = tuple(l - a for l, a in zip(lcm, e))
-        _sub_multiple((work, *reps), (poly, *entry_reps), c, shift, units)
+        _sub_multiple((work, *reps), (poly, *entry_reps), c, shift)
     return work, reps
 
 
@@ -261,7 +255,7 @@ def _buchberger(gens, one):
         eb = _leading(basis[j][0])[0]
         if all(min(x, y) == 0 for x, y in zip(ea, eb)):
             continue
-        r = _tracked_nf(*_spoly(basis[i], basis[j], one), basis, one)
+        r = _tracked_nf(*_spoly(basis[i], basis[j], one), basis)
         if r[0]:
             basis.append(r)
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
@@ -281,7 +275,7 @@ def _buchberger(gens, one):
 
     for i, t in enumerate(keep):
         rest = keep[:i] + keep[i + 1 :]
-        poly, reps = _tracked_nf(*t, rest, one) if rest else t
+        poly, reps = _tracked_nf(*t, rest) if rest else t
         s = one / _leading(poly)[1]
         keep[i] = (
             {e: v * s for e, v in poly.items()},
@@ -461,7 +455,7 @@ class MembershipSolver:
             ]
         else:
             h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
-            rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis, field.one)
+            rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis)
             if rem:
                 return None
             # h_hat == -sum(reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
@@ -510,11 +504,6 @@ class MembershipSolver:
         """
         d = bivariate_gcd(g1, g2)
         return self.membership(d, g1, g2) is not None, d
-
-
-def laurent_membership(h, g1, g2, solver=None):
-    """One-shot membership test; see MembershipSolver.membership."""
-    return (solver or MembershipSolver()).membership(h, g1, g2)
 
 
 # -- gcd in k[Y1, Y2] ----------------------------------------------------------

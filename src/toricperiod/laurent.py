@@ -16,8 +16,6 @@ only as strings (to_x_display), never in stored coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import FieldMismatch, NotInvertible, add_terms, parse_rational
 
 
@@ -108,8 +106,6 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(self.field, self.field.from_fraction(other))
         try:
             return LaurentPoly.constant(self.field, self.field.coerce(other))
         except FieldMismatch:

@@ -34,7 +34,7 @@ from functools import cache
 from typing import Optional
 
 from .family import invariance_level, vector_field, vector_prime
-from .groebner import Certificate, MembershipSolver, laurent_membership
+from .groebner import Certificate, MembershipSolver
 from .laurent import LaurentPoly, NotDivisible, ZPoly, one, qpow, y1, y2
 from .whittaker import big_cell_profile, period_parts, whittaker_coefficient
 
@@ -106,8 +106,12 @@ def image_ideal(field):
     )
 
 
+@cache
 def image_ideal_alt(field):
-    """The same ideal presented on the other torus line, via 1 - q Y2."""
+    """The same ideal presented on the other torus line, via 1 - q Y2.
+
+    Built once per field, as `image_ideal` is.
+    """
     return (
         one(field) - qpow(field, 1) * y2(field),
         one(field) - qpow(field, -1) * y1(field) * y2(field, -1),
@@ -149,12 +153,13 @@ class PeriodReport:
         }
 
 
-# The solver verify_image uses when it is given none.  It is only ever asked
-# about image_ideal(field), so it holds one reduced basis per field.
+# The one solver for the image ideal: verify_image and the CLI's identities
+# and ideal commands ask it about image_ideal(field) and image_ideal_alt(field)
+# only, so it holds at most two reduced bases per field, one per presentation.
 _IMAGE_SOLVER = MembershipSolver()
 
 
-def verify_image(f, field=None, solver=None):
+def verify_image(f, field=None):
     """Compute the period of f and certify its ideal membership.
 
     The certificate, when present, has already been re-verified by direct
@@ -163,14 +168,14 @@ def verify_image(f, field=None, solver=None):
     verdict is checked against evaluation at the ideal's one point, and
     VerdictMismatch is raised if the two disagree.
 
-    Without a `solver`, one module-level MembershipSolver serves every
-    call, so the image ideal and its reduced basis are built once per field
-    per process.  It caches bases only: every call still re-expands its
-    certificate and evaluates the period at the point.
+    Every call asks the one module-level solver, so the image ideal's
+    reduced basis is built once per field per process.  The solver caches
+    bases only: every call still re-expands its certificate and evaluates
+    the period at the point.
     """
     la = toric_period(f, field)
     g1, g2 = image_ideal(la.field)
-    cert = laurent_membership(la, g1, g2, solver=solver or _IMAGE_SOLVER)
+    cert = _IMAGE_SOLVER.membership(la, g1, g2)
     if (cert is not None) != _vanishes_at_image_point(la):
         raise VerdictMismatch(
             f"solver says {'member' if cert is not None else 'non-member'}, "

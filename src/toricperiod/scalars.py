@@ -243,10 +243,6 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def from_fraction(cls, fr):
-        return cls((Fraction(fr),))
-
-    @classmethod
     def q_power(cls, e):
         return _new({e: _F1})
 
@@ -531,9 +527,6 @@ class QNumeric:
     def __setattr__(self, *_):
         raise AttributeError("field descriptors are immutable")
 
-    def from_fraction(self, fr):
-        return fr if type(fr) is Fraction else Fraction(fr)
-
     def q_power(self, e):
         return Fraction(self.q) ** e
 
@@ -543,6 +536,9 @@ class QNumeric:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise FieldMismatch(f"{x!r} is not a scalar of {self}")
+
+    # a rational (int or Fraction) only: no floats and no strings
+    from_fraction = coerce
 
     def rational_part(self, x):
         return Fraction(x)
@@ -576,9 +572,6 @@ class QSymbolic:
     one = _ONE_RF
     __slots__ = ()
 
-    def from_fraction(self, fr):
-        return RationalFunction.from_fraction(fr)
-
     def q_power(self, e):
         return RationalFunction.q_power(e)
 
@@ -588,6 +581,8 @@ class QSymbolic:
         if isinstance(x, (int, Fraction)):
             return RationalFunction((x,))
         raise FieldMismatch(f"{x!r} is not a scalar of {self}")
+
+    from_fraction = coerce
 
     def rational_part(self, x):
         return self.coerce(x).as_fraction()

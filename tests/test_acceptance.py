@@ -119,7 +119,6 @@ def test_criterion_4_integration_matches_closed_forms():
 def test_criterion_5_randomized_membership_trials():
     per_config_budget = 300.0
     configs = [(2, 2, 20000), (3, 2, 30000), (5, 1, 50000)]
-    solver = MembershipSolver()
     for p, n, base in configs:
         t0 = time.monotonic()
         F = QNumeric(p)
@@ -127,7 +126,7 @@ def test_criterion_5_randomized_membership_trials():
         failures = []
         for i in range(100):
             f = random_table(p, n, seed=base + i)
-            report = verify_image(f, solver=solver)
+            report = verify_image(f)
             if not report.rational:
                 failures.append(f"seed {base + i}: nonrational period")
             elif not report.member:

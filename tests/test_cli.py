@@ -401,6 +401,7 @@ _LONG_EXPONENT = json.dumps(_p2_table([{"c": "1", "e": [0, 0]}])).replace(
         pytest.param(_p2_table([{"c": "1e100000000", "e": [0, 0]}]), "malformed rational",
                      id="huge-exponent-literal"),
         pytest.param(_LONG_EXPONENT, "not valid JSON", id="overlong-integer"),
+        pytest.param("[" * 200000 + "]" * 200000, "not valid JSON", id="deep-nesting"),
     ],
 )
 def test_period_oversized_documents_fail_fast(tmp_path, doc, fragment):
@@ -452,6 +453,31 @@ def test_ideal_checks(capsys):
     code, out, _ = run_cli(capsys, "ideal", "--check", "proper", "--q", "symbolic")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_commands_share_the_image_solver(monkeypatch, capsys):
+    # identities and every ideal check ask period._IMAGE_SOLVER, so one
+    # process builds the symbolic basis of each presentation once, and a
+    # second pass prints the same bytes from the cached bases.
+    solver = MembershipSolver()
+    monkeypatch.setattr(period, "_IMAGE_SOLVER", solver)
+    builds = []
+    buchberger = groebner._buchberger
+
+    def counted(gens, one):
+        builds.append(gens)
+        return buchberger(gens, one)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    commands = [["identities"]] + [
+        ["ideal", "--check", check] for check in ("equality", "principal", "proper")
+    ]
+    passes = [[run_cli(capsys, *argv) for argv in commands] for _ in range(2)]
+    assert all(code == 0 for code, _, _ in passes[0])
+    assert passes[1] == passes[0]
+    S = QSymbolic()
+    assert len(builds) == 2
+    assert set(solver._bases) == {period.image_ideal(S), period.image_ideal_alt(S)}
 
 
 def test_ideal_bad_q():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -297,7 +298,7 @@ def test_pipeline_forms_no_character_value(monkeypatch, capsys):
 def test_wrong_solver_verdict_is_caught(monkeypatch):
     # The period of SPH is a member; a solver that refuses it contradicts
     # evaluation at (1, 1/q).
-    monkeypatch.setattr(period, "laurent_membership", lambda *args, **kwargs: None)
+    monkeypatch.setattr(period, "_IMAGE_SOLVER", SimpleNamespace(membership=lambda *args: None))
     with pytest.raises(VerdictMismatch):
         verify_image(SPH, field=S)
 
@@ -328,17 +329,16 @@ def test_point_remainder_does_not_feed_the_oracle(monkeypatch):
 def test_wrong_member_verdict_is_caught(monkeypatch):
     # A period that does not vanish at (1, 1/q) cannot carry a certificate.
     monkeypatch.setattr(period, "toric_period", lambda f, field=None: one(S))
-    monkeypatch.setattr(
-        period, "laurent_membership", lambda *args, **kwargs: Certificate(zero(S), zero(S))
-    )
+    wrong = SimpleNamespace(membership=lambda *args: Certificate(zero(S), zero(S)))
+    monkeypatch.setattr(period, "_IMAGE_SOLVER", wrong)
     with pytest.raises(VerdictMismatch):
         verify_image(SPH, field=S)
 
 
 def test_image_basis_is_shared_per_field(monkeypatch):
-    # Without a solver, verify_image asks one module-level solver about
-    # image_ideal(field) only, so it keeps one reduced basis per field and
-    # reuses it; the certificates are those of a fresh solver.  The markers'
+    # verify_image asks the one module-level solver about image_ideal(field)
+    # only, so it keeps one reduced basis per field and reuses it; the
+    # certificates are those of a fresh solver.  The markers'
     # periods are g2 and g1 themselves, answered by lone division, so they
     # add no basis.
     shared = MembershipSolver()
@@ -352,8 +352,8 @@ def test_image_basis_is_shared_per_field(monkeypatch):
     first = {}
     for f, field in cases:
         report = verify_image(f, field)
-        fresh = verify_image(f, field, solver=MembershipSolver())
-        assert report.certificate.to_json() == fresh.certificate.to_json()
+        fresh = MembershipSolver().membership(report.la, *image_ideal(report.la.field))
+        assert report.certificate.to_json() == fresh.to_json()
         first.update((k, v) for k, v in shared._bases.items() if k not in first)
     assert set(shared._bases) == {ideals[N3], ideals[N5]}
     for key, basis in shared._bases.items():

@@ -352,6 +352,10 @@ def test_descriptor_equality_and_coercion():
     assert S.q_power(2) == RF((0, 0, 1))
     with pytest.raises(FieldMismatch):
         S.coerce(0.5)  # no floats, ever
+    for descriptor in (F, S):
+        for bad in (0.1, "1/3"):
+            with pytest.raises(FieldMismatch):
+                descriptor.from_fraction(bad)
 
 
 def test_descriptor_constants_are_shared_and_immutable():
