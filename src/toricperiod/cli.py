@@ -292,9 +292,14 @@ def cmd_period(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = verify_image(vec, field=field)
-    return _emit(
-        period_report_json(report) + "\n", args.out, EXIT_OK if report.member else EXIT_FALSIFIED
-    )
+    try:
+        text = period_report_json(report)
+    except ValueError as exc:
+        # Python's int-to-str digit limit: a document inside the span bound
+        # can still carry coefficients too long to write
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return _emit(text + "\n", args.out, EXIT_OK if report.member else EXIT_FALSIFIED)
 
 
 # -- ideal structure -----------------------------------------------------------------

@@ -362,12 +362,22 @@ def vector_to_json(f):
     raise TypeError(f"only markers and tables serialize: {f!r}")
 
 
+# The certificate of a period divides by Y2 - 1/q and Y1 - 1, so over a
+# table whose exponents span E in one variable its coefficients reach about
+# E * log2(p) bits and the report about E^2 * log2(p) bits; past Python's
+# 4300-digit int-to-str limit (about 14300 bits) it cannot be written at all.
+# A document whose span in Y1 or in Y2, times the bit length of p, exceeds
+# this many bits is refused: E = 4096 at p = 2 and 3, 2730 at p = 5 and 7.
+MAX_SPAN_BITS = 8192
+
+
 def vector_from_json(doc):
     """Parse a vector document; returns (vector, scalar field).
 
     Symbolic markers come back over the symbolic field, tables over
-    QNumeric(p).  Structural problems raise ParseError; a wrong set of
-    classes raises ClassCoverageError.
+    QNumeric(p).  Structural problems raise ParseError, and so does a table
+    whose exponent span in either variable, times the bit length of p,
+    exceeds MAX_SPAN_BITS; a wrong set of classes raises ClassCoverageError.
     """
     if not isinstance(doc, dict):
         raise ParseError("vector document must be an object")
@@ -401,6 +411,7 @@ def vector_from_json(doc):
         )
     field = QNumeric(p)
     values = {}
+    exponents = []
     for row in rows:
         if not isinstance(row, dict) or "class" not in row or "poly" not in row:
             raise ParseError(f"bad value row {row!r}")
@@ -411,4 +422,12 @@ def vector_from_json(doc):
             values[cls] = LaurentPoly.from_json_terms(field, row["poly"])
         except (ValueError, TypeError, KeyError) as exc:
             raise ParseError(f"bad polynomial for {row['class']!r}: {exc}") from None
+        exponents.extend(values[cls].terms)
+    for name, axis in zip(("Y1", "Y2"), zip(*exponents)):
+        span = max(axis) - min(axis)
+        if span * p.bit_length() > MAX_SPAN_BITS:
+            raise ParseError(
+                f"exponent span {span} in {name} exceeds {MAX_SPAN_BITS // p.bit_length()}, "
+                f"the bound at p={p} (MAX_SPAN_BITS = {MAX_SPAN_BITS})"
+            )
     return TableVector(p, n, values), field

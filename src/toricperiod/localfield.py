@@ -22,16 +22,21 @@ class ConductorExceeded(ValueError):
 
 
 def valuation(x, p):
-    """p-adic valuation of a Fraction or int; INF for zero."""
-    x = Fraction(x)
-    if x == 0:
+    """p-adic valuation of an int or a Fraction; INF for zero.
+
+    An int is read as it is and a Fraction through its own numerator and
+    denominator, so no Fraction is built.
+    """
+    if isinstance(x, int):
+        n, d = x, 1
+    else:
+        n, d = x.numerator, x.denominator
+    if n == 0:
         return INF
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1

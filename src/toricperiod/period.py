@@ -21,6 +21,13 @@ ideal (g1, g2); `verify_image` certifies that membership for a given
 vector.  The spherical vector's own period is g2; dividing by it
 normalizes periods against the spherical line.
 
+For a vector tied to p the closed form is summed on integers: with f(1)
+over D, the lcm of the table's denominators, and U(f) over D q^L (q - 1)
+(`whittaker.period_numerators`), l(f) is an integer sum over
+D q^{L+1} (q - 1), and each of its coefficients is built as a Fraction
+once.  The point oracle that checks every verdict decides l(1, 1/q) = 0
+as one integer sum as well, and shares no code with the solver.
+
 `zeta_window` and `cleared_window` keep the definition as the reference
 route: an exact finite window of I(f, Z), cleared, with a guard zone
 certifying that nothing was truncated.
@@ -29,14 +36,21 @@ certifying that nothing was truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Optional
 
 from .family import invariance_level, vector_field, vector_prime
 from .groebner import Certificate, MembershipSolver
 from .laurent import LaurentPoly, NotDivisible, ZPoly, one, qpow, y1, y2
-from .whittaker import big_cell_profile, period_parts, whittaker_coefficient
+from .whittaker import (
+    _add_shifted,
+    big_cell_profile,
+    from_numerators,
+    period_numerators,
+    period_parts,
+    whittaker_coefficient,
+)
 
 
 class VerdictMismatch(ArithmeticError):
@@ -71,10 +85,27 @@ def cleared_window(f, field=None):
 
 
 def toric_period(f, field=None):
-    """The period l(f) = f(1) * g2 + g1 * U(f), built without a window."""
-    identity, u = period_parts(f, field)
-    g1, g2 = image_ideal(identity.field)
-    return identity * g2 + g1 * u
+    """The period l(f) = f(1) * g2 + g1 * U(f), built without a window.
+
+    A marker's parts are combined with the generators as Laurent values.
+    For a vector tied to p, with f(1) over D and U(f) over D p^L (p - 1)
+    as integer numerators (`period_numerators`), the period is summed as
+    integers over D p^{L+1} (p - 1), from g1 = 1 - Y1 and
+    p g2 = p - Y1 Y2^{-1}, and each coefficient becomes one Fraction.
+    """
+    field = vector_field(f, field)
+    if vector_prime(f) is None:
+        identity, u = period_parts(f, field)
+        g1, g2 = image_ideal(field)
+        return identity * g2 + g1 * u
+    p, L, den, identity, u = period_numerators(f)
+    k = p**L * (p - 1)
+    la = {}
+    _add_shifted(la, identity, 0, 0, p * k)
+    _add_shifted(la, identity, 1, -1, -k)
+    _add_shifted(la, u, 0, 0, p)
+    _add_shifted(la, u, 1, 0, -p)
+    return from_numerators(field, la, den * p * k)
 
 
 def spherical_ratio(f, field=None):
@@ -123,10 +154,24 @@ def _vanishes_at_image_point(la):
 
     The image ideal is the maximal ideal of that point (modulo it, Y1 = 1
     and Y2 = q^{-1} Y1), so this decides membership by evaluation alone,
-    sharing no code with the Grobner route.
+    sharing no code with the Grobner route.  Over QNumeric it is one
+    integer sum; over QSymbolic, an evaluation in Q(q).
     """
     fld = la.field
-    return la.evaluate_at(Fraction(1), fld.q_power(-1)) == fld.zero
+    if fld.is_symbolic:
+        return la.evaluate_at(fld.one, fld.q_power(-1)) == fld.zero
+    if not la.terms:
+        return True
+    # la(1, 1/q) * q^top * den as one integer sum, den the lcm of the
+    # coefficients' denominators: each power q^(top - e2) is at most
+    # q^(max e2 - min e2).
+    q = fld.q
+    top = max(e2 for _, e2 in la.terms)
+    den = lcm(*{c.denominator for c in la.terms.values()})
+    total = 0
+    for (_, e2), c in la.terms.items():
+        total += c.numerator * (den // c.denominator) * q ** (top - e2)
+    return total == 0
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,13 @@ explicit Iwasawa form, so each S_v is a sum of the class values of f over
 the classes of one valuation, times a torus monomial when v < 0.  That is
 one pass of p^L + p^{L-1} table reads per vector (see `big_cell_profile`).
 
+For a vector tied to p (so q = p) the pass runs on integers.  Each scalar
+of the table is read once as a numerator over D, the lcm of the table's
+denominators; the torus factor q^{-m} p^{2m} = p^m of a shell with v < 0
+is an integer, so F0 and every S_v are integer sums over D, and U(f) is an
+integer sum over D q^L (q - 1).  A coefficient becomes a Fraction only
+once, when a value is handed out (`from_numerators`).
+
 All of this is rational: no character value is ever formed, because the
 unit averages are used in closed form.
 """
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .family import (
     IwahoriPhiW,
@@ -73,7 +81,7 @@ from .localfield import (
     unit_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count unit enumeration)
     valuation,
 )
-from .scalars import QNumeric, add_into
+from .scalars import QNumeric
 
 
 def shintani_sph(field, k):
@@ -120,6 +128,70 @@ class BigCellProfile:
     shells: dict
 
 
+def _add_shifted(out, terms, d1, d2, factor):
+    """out += factor * terms * Y1^d1 * Y2^d2 in place, on integer term dicts;
+    a sum that cancels stays in out as 0."""
+    for (e1, e2), c in terms.items():
+        key = (e1 + d1, e2 + d2)
+        out[key] = out.get(key, 0) + factor * c
+
+
+def from_numerators(field, numerators, den):
+    """The LaurentPoly with these integer numerators over den: each nonzero
+    numerator becomes one canonical Fraction, and zeros are dropped."""
+    return _of(field, {e: Fraction(n, den) for e, n in numerators.items() if n})
+
+
+def _shell_numerators(f):
+    """(p, L, D, identity, at_weyl, shells): the big-cell profile of f as
+    integer term dicts over D, the lcm of the table's denominators.
+
+    Each scalar of the table is read once, as its numerator times D over
+    its denominator, and every sum is an integer sum; `big_cell_profile`
+    states the class reads.  A shell that vanishes is left out; sums that
+    cancel stay in at_weyl and in the shells as 0.
+    """
+    p = vector_prime(f)
+    if p is None:
+        raise ValueError("vector carries no residue prime; tabulate it first")
+    field = QNumeric(p)
+    table = f if isinstance(f, TableVector) else tabulate(f, p, invariance_level(f), field)
+    L = table.n
+    values = table.values
+    if table.field != field:
+        values = {cls: value.embed(field) for cls, value in values.items()}
+    dens = {c.denominator for value in values.values() for c in value.terms.values()}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+
+    def numerators(value):
+        return {e: c.numerator * scale[c.denominator] for e, c in value.terms.items()}
+
+    sums, counts = {}, {}
+    for cls, value in values.items():
+        if cls.rep == 0:
+            continue  # [0 : 1] is the identity, [1 : 0] the zero class
+        v = valuation(cls.rep, p)
+        if not cls.at_infinity:
+            v = -v  # [c : 1] holds the u with u^{-1} = c mod p^L
+        if v not in sums:
+            sums[v], counts[v] = {}, 0
+        s = sums[v]
+        for e, c in value.terms.items():
+            s[e] = s.get(e, 0) + c.numerator * scale[c.denominator]
+        counts[v] += 1
+    identity = numerators(values[P1Class(p, L, False, 0)])
+    at_weyl = numerators(values[P1Class(p, L, True, 0)])
+    _add_shifted(at_weyl, identity, 0, 0, -1)
+    shells = {}
+    for v, s in sums.items():
+        _add_shifted(s, identity, 0, 0, -counts[v])
+        if any(s.values()):
+            # q^v * p^(-2v) = p^(-v), with q = p, is an integer factor
+            shells[v] = s if v >= 0 else {(e1 - v, e2 + v): c * p**-v for (e1, e2), c in s.items()}
+    return p, L, den, identity, at_weyl, shells
+
+
 def big_cell_profile(f):
     """The shell sums of u |-> f_w(w n(u)), read off the class table of f.
 
@@ -135,38 +207,21 @@ def big_cell_profile(f):
     of the cosets u + p^L Z_p.  With a = f(1), the value on [0 : 1], every
     shell is one sum of T[c] - a over the classes c of one kind and one
     valuation: p^L + p^{L-1} table reads, each merged in place into one
-    term dict per valuation, and no group element.  A translate or
-    combination is first tabulated at its invariance level, where the
-    table is exact.
+    term dict per valuation, and no group element.  With q = p the factor
+    q^{-m} p^{2m} = p^m is an integer, so every shell is an integer sum
+    over D, the lcm of the table's denominators, and each stored
+    coefficient is one canonical Fraction.  A translate or combination is
+    first tabulated at its invariance level, where the table is exact.
     """
-    p = vector_prime(f)
-    if p is None:
-        raise ValueError("vector carries no residue prime; tabulate it first")
+    p, L, den, identity, at_weyl, shells = _shell_numerators(f)
     field = QNumeric(p)
-    table = f if isinstance(f, TableVector) else tabulate(f, p, invariance_level(f), field)
-    L = table.n
-    values = table.values
-    if table.field != field:
-        values = {cls: value.embed(field) for cls, value in values.items()}
-    sums, counts = {}, {}
-    for cls, value in values.items():
-        if cls.rep == 0:
-            continue  # [0 : 1] is the identity, [1 : 0] the zero class
-        v = valuation(cls.rep, p)
-        if not cls.at_infinity:
-            v = -v  # [c : 1] holds the u with u^{-1} = c mod p^L
-        add_into(sums.setdefault(v, {}), value.terms)
-        counts[v] = counts.get(v, 0) + 1
-    identity = values[P1Class(p, L, False, 0)]
-    at_weyl = values[P1Class(p, L, True, 0)] - identity
-    shells = {}
-    for v, terms in sums.items():
-        s = _of(field, terms) - identity.scale(counts[v])
-        if v < 0:
-            s = s.shift(-v, v).scale(field.q_power(v) * p ** (-2 * v))
-        if not s.is_zero:
-            shells[v] = s
-    return BigCellProfile(p, L, identity, at_weyl, shells)
+    return BigCellProfile(
+        p,
+        L,
+        from_numerators(field, identity, den),
+        from_numerators(field, at_weyl, den),
+        {v: from_numerators(field, s, den) for v, s in shells.items()},
+    )
 
 
 def _profile(f, field, profile=None):
@@ -179,20 +234,38 @@ def _profile(f, field, profile=None):
     return big_cell_profile(f) if profile is None else profile
 
 
+def period_numerators(f):
+    """(p, L, D, f(1), U(f)) for a vector tied to p, as integer term dicts:
+    f(1) over D, the lcm of its table's denominators, and U(f) over
+    D * p^L * (p - 1).
+
+    Over that denominator the sweep of the module docstring reads
+    (p - 1) * F0 * Y2^{-L} + sum over v of (p * S_v * Y2^{-v} - S_v * Y2^{-v-1}),
+    with F0 and the S_v the profile's numerators over D.  Zeros are kept,
+    as in the profile's numerators.
+    """
+    p, L, den, identity, at_weyl, shells = _shell_numerators(f)
+    u = {}
+    _add_shifted(u, at_weyl, 0, -L, p - 1)
+    for v, s in shells.items():
+        _add_shifted(u, s, 0, -v, p)
+        _add_shifted(u, s, 0, -v - 1, -1)
+    return p, L, den, identity, u
+
+
 def period_parts(f, field=None):
-    """(f(1), U(f)), so l(f) = f(1) * g2 + g1 * U(f), with U(f) summed in one
-    sweep of the shells as the module docstring states."""
+    """(f(1), U(f)), so l(f) = f(1) * g2 + g1 * U(f).
+
+    A marker's U(f) is its at_weyl value (level 0, no shells); any other
+    vector's is summed in one integer sweep of its shells
+    (`period_numerators`) and wrapped once.
+    """
     field = vector_field(f, field)
-    profile = _profile(f, field)
-    p, L = profile.p, profile.level
-    u = profile.at_weyl.shift(0, -L).scale(field.q_power(-L))
-    merged = {}
-    for v, s in profile.shells.items():
-        add_into(merged, s.shift(0, -v - 1).terms)
-    if merged:
-        w = Fraction(1, p**L * (p - 1))
-        u = u + LaurentPoly(field, {(0, 1): p * w, (0, 0): -w}) * _of(field, merged)
-    return profile.identity, u
+    if vector_prime(f) is None:
+        marker = _profile(f, field)
+        return marker.identity, marker.at_weyl
+    p, L, den, identity, u = period_numerators(f)
+    return from_numerators(field, identity, den), from_numerators(field, u, den * p**L * (p - 1))
 
 
 def whittaker_coefficient(f, k, field=None, profile=None):

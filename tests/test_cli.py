@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricperiod
-from toricperiod import cli, groebner, period
+from toricperiod import cli, family, groebner, period
 from toricperiod.cli import main
 from toricperiod.family import f0_table, random_table, vector_to_json
 from toricperiod.groebner import Certificate, MembershipSolver
@@ -385,6 +385,24 @@ def test_period_wide_exponents(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "period", "--input", src) == (0, out, "")
 
 
+def _wide_table(p, e1, e2, c="1"):
+    """The level-1 table with c*Y1^e1 on [0:1], Y2^e2 on [1:0] and 1 elsewhere."""
+    rows = [{"class": "[0:1]", "poly": [{"c": c, "e": [e1, 0]}]}]
+    rows += [{"class": f"[{u}:1]", "poly": [{"c": "1", "e": [0, 0]}]} for u in range(1, p)]
+    rows.append({"class": "[1:0]", "poly": [{"c": "1", "e": [0, e2]}]})
+    return {"prime": p, "level": 1, "values": rows}
+
+
+def test_period_at_the_span_bound(tmp_path, capsys):
+    # At p = 7 the bound's coefficients come closest to Python's 4300-digit
+    # int-to-str limit; the report must still be written and certified.
+    E = family.MAX_SPAN_BITS // (7).bit_length()
+    code, out, err = run_cli(capsys, "period", "--input", _write_doc(tmp_path, _wide_table(7, E, E)))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["member"] and report["certificate"]["verified"]
+
+
 # json.dumps refuses an int past the 4300-digit conversion limit, so this
 # document is written as text.
 _LONG_EXPONENT = json.dumps(_p2_table([{"c": "1", "e": [0, 0]}])).replace(
@@ -402,6 +420,14 @@ _LONG_EXPONENT = json.dumps(_p2_table([{"c": "1", "e": [0, 0]}])).replace(
                      id="huge-exponent-literal"),
         pytest.param(_LONG_EXPONENT, "not valid JSON", id="overlong-integer"),
         pytest.param("[" * 200000 + "]" * 200000, "not valid JSON", id="deep-nesting"),
+        pytest.param(_wide_table(2, 0, 10**9), "exponent span 1000000000 in Y2",
+                     id="huge-exponent-span"),
+        pytest.param(_wide_table(2, 4097, 4097), "exponent span 4097", id="span-past-bound-p2"),
+        pytest.param(_wide_table(7, 2731, 2731), "exponent span 2731", id="span-past-bound-p7"),
+        # inside the span bound, but 4290-digit coefficients times 2^40 in the
+        # certificate pass the int-to-str limit: the writer's backstop
+        pytest.param(_wide_table(2, 0, 40, c="9" * 4290), "cannot write the report",
+                     id="unwritable-coefficients"),
     ],
 )
 def test_period_oversized_documents_fail_fast(tmp_path, doc, fragment):

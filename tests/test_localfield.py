@@ -45,6 +45,17 @@ def test_valuation():
     assert valuation(Fraction(9, 5), 3) == 2
     assert valuation(7, 3) == 0
     assert valuation(0, 5) == INF
+    # ints are read directly, negative ones too, and Fractions as they are
+    assert valuation(-12, 2) == 2
+    assert valuation(-7, 3) == 0
+    assert valuation(-(3**50) * 7, 3) == 50
+    assert valuation(2**4000, 2) == 4000
+    assert valuation(Fraction(-5, 27), 3) == -3
+    assert valuation(Fraction(-18, 7), 3) == 2
+    assert valuation(Fraction(0), 5) == INF
+    assert valuation(-0, 2) == INF
+    for x in (12, -12, Fraction(5, 27)):
+        assert type(valuation(x, 3)) is int
 
 
 def test_residue_mod():

@@ -1,11 +1,23 @@
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricperiod.family import PHI_W, SPH, LinComb, Translate, f0_table, random_table, sph_table
+from toricperiod.family import (
+    PHI_W,
+    SPH,
+    LinComb,
+    TableVector,
+    Translate,
+    evaluate,
+    f0_table,
+    random_table,
+    sph_table,
+    tabulate,
+)
 from toricperiod import groebner, period, scalars, whittaker
 from toricperiod.cli import main
 from toricperiod.groebner import Certificate, MembershipSolver
@@ -93,14 +105,85 @@ def test_mixed_primes_raise_field_mismatch():
 
 GRID = st.sampled_from([(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)])
 
+# Scalars whose denominators the integer pass must carry: small primes and
+# their powers, a prime past every p, and a numerator and denominator wider
+# than a machine word.
+DENOMINATED = [
+    Fraction(1, 2),
+    Fraction(-7, 9),
+    Fraction(5, 49),
+    Fraction(1, 101),
+    Fraction(10**30 + 1, 3**40),
+    Fraction(3),
+    Fraction(-1),
+]
 
-@settings(max_examples=30, deadline=None)
-@given(GRID, st.integers(0, 10**6))
-def test_closed_form_period_matches_cleared_window(shape, seed):
+
+def _denominated_table(p, n, seed):
+    """A random depth-n table whose values draw their coefficients from DENOMINATED."""
+    rng = random_table(p, n, seed=seed)
+    values = {}
+    for i, (cls, value) in enumerate(sorted(rng.values.items(), key=lambda t: str(t[0]))):
+        terms = {}
+        for j, e in enumerate(sorted(value.terms)):
+            terms[e] = DENOMINATED[(seed + 3 * i + j) % len(DENOMINATED)]
+        values[cls] = LaurentPoly(QNumeric(p), terms)
+    return TableVector(p, n, values)
+
+
+def _vector(kind, p, n, seed):
+    """One vector tied to p of each kind the integer pass reads."""
+    F = QNumeric(p)
+    if kind == "random":
+        return random_table(p, n, seed=seed)
+    if kind == "denominated":
+        return _denominated_table(p, n, seed)
+    if kind == "symbolic-stored":
+        # values stored over QSymbolic reach QNumeric(p) through embed
+        table = _denominated_table(p, n, seed)
+        return TableVector(p, n, {c: v.embed(S) for c, v in table.values.items()})
+    if kind == "translate":
+        return Translate(unipotent(p, Fraction(1, p)), _denominated_table(p, 1, seed))
+    return LinComb([
+        (mono(F, Fraction(-7, 9), 1, -1), _denominated_table(p, n, seed)),
+        (mono(F, Fraction(5, 49), 0, 2), sph_table(F, p, n)),
+        (mono(F, Fraction(1, 101), 0, 0), random_table(p, n, seed=seed + 1)),
+    ])
+
+
+KINDS = ["random", "denominated", "symbolic-stored", "translate", "lincomb"]
+
+
+def _reference_route(f):
+    """(l(f), f(1), U(f), spherical ratio) from the cleared zeta window, with
+    no use of the closed form: f(1) by evaluation at the identity, U(f) and
+    the ratio by exact division of the window's value."""
+    la = cleared_window(f).eval_z1()
+    F = la.field
+    g1, g2 = image_ideal(F)
+    identity = evaluate(f, Mat2.identity(F.q), F)
+    u = (la - identity * g2).divide_exact(g1)
+    try:
+        ratio = la.divide_exact(g2)
+    except NotDivisible:
+        ratio = None
+    return la, identity, u, ratio
+
+
+@settings(max_examples=40, deadline=None)
+@given(GRID, st.integers(0, 10**6), st.sampled_from(KINDS))
+def test_closed_form_period_matches_cleared_window(shape, seed, kind):
     # the reference route: 2n+7 window coefficients, cleared and summed at Z = 1
     p, n = shape
-    f = random_table(p, n, seed=seed)
-    assert toric_period(f) == cleared_window(f).eval_z1()
+    f = _vector(kind, p, n, seed)
+    la, identity, u, ratio = _reference_route(f)
+    got = toric_period(f)
+    assert got == la
+    parts = period_parts(f)
+    assert parts == (identity, u)
+    assert spherical_ratio(f) == ratio
+    for value in (got, *parts):
+        _assert_canonical(value)
 
 
 def test_pipeline_builds_no_window(monkeypatch, capsys):
@@ -221,11 +304,14 @@ def test_verify_image_on_random_tables(p, n, seed):
 
 
 def _assert_canonical(value):
-    """The invariant laurent._of trusts: int exponent pairs, nonzero field scalars."""
+    """The invariant laurent._of trusts: int exponent pairs, nonzero field
+    scalars, and every Fraction stored in lowest terms."""
     field = value.field
     for (e1, e2), c in value.terms.items():
         assert type(e1) is int and type(e2) is int
         assert type(c) is type(field.one) and c != field.zero
+        for x in c.num.values() if field.is_symbolic else (c,):
+            assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
 @pytest.mark.parametrize(
@@ -235,8 +321,9 @@ def _assert_canonical(value):
 def test_engine_values_are_canonical(monkeypatch, p, n):
     # The arithmetic wraps its results with laurent._of, which neither checks
     # nor coerces, so every value the engine returns is held to that
-    # invariant here: random tables over the grid, the markers over QSymbolic,
-    # and a table stored over QSymbolic (its values are embedded).
+    # invariant here: random tables over the grid, with tables of wide
+    # denominators, a table stored over QSymbolic (its values are embedded),
+    # a translate and a combination, and the markers over QSymbolic.
     quotients = []
     divide_exact = LaurentPoly.divide_exact
 
@@ -249,6 +336,7 @@ def test_engine_values_are_canonical(monkeypatch, p, n):
         cases = [(SPH, S), (PHI_W, S), (f0_table(S, 3, 2), None)]
     else:
         cases = [(random_table(p, n, seed=seed), None) for seed in range(3)]
+        cases += [(_vector(kind, p, n, 7), None) for kind in KINDS[1:]]
     for f, field in cases:
         identity, u = period_parts(f, field)
         report = verify_image(f, field)
@@ -310,20 +398,86 @@ def test_point_remainder_does_not_feed_the_oracle(monkeypatch):
     f = random_table(3, 2, seed=13)
     assert verify_image(f).member
     evaluations = []
-    evaluate_at = LaurentPoly.evaluate_at
+    vanishes = period._vanishes_at_image_point
 
-    def counted(self, v1, v2):
-        evaluations.append((v1, v2))
-        return evaluate_at(self, v1, v2)
+    def counted(la):
+        evaluations.append((la, vanishes(la)))
+        return evaluations[-1][1]
 
     def wrong(terms, beta, gamma, one):
         return {}, {}, Fraction(1)
 
-    monkeypatch.setattr(LaurentPoly, "evaluate_at", counted)
+    monkeypatch.setattr(period, "_vanishes_at_image_point", counted)
     monkeypatch.setattr(groebner, "_point_quotients", wrong)
     with pytest.raises(VerdictMismatch):
         verify_image(f)
-    assert evaluations == [(1, Fraction(1, 3))]
+    assert evaluations == [(toric_period(f), True)]
+
+
+ORACLE_FIELDS = [QNumeric(2), QNumeric(3), QNumeric(5), QNumeric(7), S]
+
+
+@st.composite
+def oracle_cofactors(draw, field):
+    """A small Laurent polynomial whose coefficients carry denominators and,
+    over QSymbolic, powers of q."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        c = Fraction(draw(st.integers(-50, 50)), draw(st.sampled_from([1, 2, 9, 49, 101, 3**40])))
+        c = field.from_fraction(c) * field.q_power(draw(st.integers(-3, 3)))
+        e = (draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+        terms[e] = terms[e] + c if e in terms else c
+    return LaurentPoly(field, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_point_oracle_matches_evaluation(field, data):
+    # Members u1 g1 + u2 g2 vanish at (1, 1/q), a member plus one nonzero
+    # monomial does not, and on any polynomial the oracle's integer sum
+    # agrees with evaluate_at.
+    g1, g2 = image_ideal(field)
+    member = data.draw(oracle_cofactors(field)) * g1 + data.draw(oracle_cofactors(field)) * g2
+    c = data.draw(st.sampled_from(DENOMINATED))
+    outside = member + mono(field, field.from_fraction(c), data.draw(st.integers(-6, 6)),
+                            data.draw(st.integers(-6, 6)))
+    anything = data.draw(oracle_cofactors(field))
+    for h, vanishes in ((member, True), (outside, False), (anything, None)):
+        at_point = h.evaluate_at(field.one, field.q_power(-1)) == field.zero
+        assert period._vanishes_at_image_point(h) == at_point
+        assert vanishes in (None, at_point)
+
+
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def test_period_does_no_fraction_arithmetic(monkeypatch):
+    # The period of a vector tied to p is summed on integers over one common
+    # denominator, and the point oracle is one integer sum: with Fraction's
+    # arithmetic refused (building a Fraction stays allowed), both still run.
+    # The translate is tabulated first, because tabulating evaluates group
+    # elements, which is the family's arithmetic and not the period's.
+    F = QNumeric(3)
+    vectors = [random_table(3, 3, seed=seed) for seed in (1, 2)]
+    vectors.append(tabulate(Translate(unipotent(3, Fraction(1, 3)), random_table(3, 1, seed=3)), 3, 3, F))
+    want = [cleared_window(f).eval_z1() for f in vectors]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the period")
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + 1
+    got = [toric_period(f) for f in vectors]
+    vanishes = [period._vanishes_at_image_point(la) for la in got]
+    monkeypatch.undo()
+    assert got == want
+    assert vanishes == [True] * len(vectors)
+    assert not period._vanishes_at_image_point(want[0] + one(F))
 
 
 def test_wrong_member_verdict_is_caught(monkeypatch):
