@@ -17,7 +17,7 @@ from .family import (
     random_table,
     vector_to_json,
 )
-from .groebner import CertificateError, MembershipSolver
+from .groebner import CertificateError, MembershipSolver, UnsupportedIdeal
 from .laurent import NotDivisible, NotInvertible, TailViolation
 from .localfield import ConductorExceeded
 from .period import (

@@ -311,8 +311,8 @@ def _ideal_check(check, field):
     check is "equality" (both presentations span one ideal, with the four
     certificates), "principal" (no single generator, with the gcd that
     would be it) or "proper" (1 is not a member).  Every question goes to
-    period._IMAGE_SOLVER, read at call time, so its bases are built once
-    per field and process.
+    period._IMAGE_SOLVER, read at call time, so its point entries are built
+    once per field and process.
     """
     solver = period._IMAGE_SOLVER
     g1, g2 = image_ideal(field)

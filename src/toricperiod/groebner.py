@@ -1,54 +1,39 @@
-"""Certified ideal arithmetic in the two-variable Laurent ring.
+"""Certified ideal membership in the two-variable Laurent ring.
 
-Membership questions about ideals of A = k[Y1^{+-1}, Y2^{+-1}] are decided
-by passing to the polynomial ring k[Y1, Y2, u] and adjoining the relation
-1 - u*Y1*Y2, which makes u an inverse for the product of the variables:
+Membership of h in an ideal (g1, g2) of A = k[Y1^{+-1}, Y2^{+-1}] is decided
+in two steps.  First each generator g is tried as a lone divisor of h,
+which gives the one-term certificate (h/g, 0) or (0, h/g); a binomial
+generator linear in one variable is tried only if h vanishes on its root,
+which decides that divisibility exactly.
 
-    h in (g1, g2)*A  <=>  h_hat in <g1_hat, g2_hat, 1 - u*Y1*Y2>
+Past that, the pair must be the maximal ideal of one point of the torus,
+as the image ideal (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) is of (Y1, Y2) = (1, 1/q).
+Write f_hat for f cleared of its monomial unit, so that each variable has
+minimum exponent zero.  Each g_hat must be affine-linear, c + a*Y1 + b*Y2,
+with independent linear parts (a1, b1) and (a2, b2).  Then Y2 - beta and
+Y1 - gamma are constant combinations S2 and S1 of g1_hat and g2_hat, read
+off by Cramer's rule on the 2x2 system of linear parts, and (gamma, beta)
+is the point; for both presentations of the image ideal the determinant
+is -1.  The point must lie on the torus: if beta*gamma = 0 the Laurent
+ideal is the whole ring.  Any other pair of nonzero generators raises
+UnsupportedIdeal.  A pair with a zero generator is principal, so lone
+division has already decided it.
 
-where f_hat denotes f cleared of its monomial unit so that each variable
-has minimum exponent zero.  (Left to right: clear denominators of a Laurent
-combination by a power of Y1*Y2 and rewrite that power as u^N modulo the
-relation.  Right to left: substitute u -> (Y1*Y2)^{-1}, which kills the
-relation term.)  The right-hand side is decided by a Grobner normal form.
-
-When (g1, g2) is the maximal ideal of a point (gamma, beta), as the image
-ideal (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) is at (1, 1/q), the reduced basis is
-{u - alpha, Y2 - beta, Y1 - gamma}, and the normal form of h_hat is its
-value at the point.  The point route finds it, with the same quotients
-the tracked reduction builds, by synthetic division: h_hat by Y2 - beta
-column by column, then the column values by Y1 - gamma, so that h_hat =
-Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with Q2, Q1 free of u.  Since
-u -> (Y1*Y2)^{-1} is a ring map, the cofactors are (Q2*S2_i + Q1*S1_i)
-times a monomial, where S2_i and S1_i are the substituted basis reps of
-Y2 - beta and Y1 - gamma, fixed once per cached basis (for the image ideal
-they are constants).  Other ideals take the tracked normal form.  Before
-either, a generator that divides h alone gives a one-term certificate; a
-binomial generator linear in one variable is tried only if h vanishes on
-its root, which decides that divisibility exactly.
-
-Every reduction step is tracked against the original generators, so a
-successful membership test produces explicit Laurent cofactors u1, u2 with
-u1*g1 + u2*g2 = h, and the equation is re-expanded and checked before the
-certificate is returned.  A nonzero normal form against a completed basis
-is a proof of non-membership, so both answers are certified.
-
-Polynomials in k[Y1, Y2, u] are plain term dicts {(a, b, c): scalar} with
-no zero values, and each basis entry is a pair (poly, reps) of such dicts
-with poly == sum(reps[i] * gens[i]).  Reduction (normal forms and
-s-polynomials alike) runs in place on the working polynomial and on each
-cofactor, so a step costs the size of the basis element it subtracts, not
-the size of everything reduced so far.  The leading-term choice and the
-divisor order are fixed (grevlex maximum, first divisor in basis order), so
-with canonical scalars the certificates do not depend on that bookkeeping.
+For a point pair, h is a member exactly when h_hat vanishes at the point.
+Synthetic division decides it and builds the certificate: h_hat by
+Y2 - beta column by column, then the column values by Y1 - gamma, gives
+h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with r = h_hat(gamma, beta).
+A nonzero r proves non-membership.  When r = 0 the cofactors are
+(Q2*S2_i + Q1*S1_i) times a monomial, with S2 and S1 fixed once per pair.
+A tracked Buchberger basis of the Rabinowitsch ideal, kept with the tests
+as a reference, gives the same point, the same S2 and S1 and the same
+certificates.
 
 The per-query kernels give unit and q-monomial factors no scalar product:
 `_horner` and `_root_refutes` skip the powers of a root equal to one
 (gamma = 1 for the image ideal), the Laurent products that form the
 point-route cofactors pass inner scalars on as they are for an outer +-1,
-and over QSymbolic a factor c*q^m is a shift of exponents.  `_sub_multiple`
-forms every product: for a point ideal it runs only in the basis build,
-once per cached basis.
+and over QSymbolic a factor c*q^m is a shift of exponents.
 
 `Certificate.holds_for` re-expands every certificate in full, term by
 term, but over integers: each field flattens its scalars into rows
@@ -71,89 +56,15 @@ class CertificateError(RuntimeError):
     """A computed membership certificate failed to re-expand to its target."""
 
 
-def _grevlex3(e):
-    """Sort key realizing graded reverse lexicographic order on (Y1, Y2, u)."""
-    return (e[0] + e[1] + e[2], (-e[2], -e[1], -e[0]))
+class UnsupportedIdeal(ValueError):
+    """A generator pair that lone division could not settle is not the
+    maximal ideal of one point of the torus.
 
-
-def _divides(a, b):
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
-def _leading(terms):
-    """The grevlex-largest exponent of a nonempty term dict, with its coefficient."""
-    e = max(terms, key=_grevlex3)
-    return e, terms[e]
-
-
-def _substitute_u(field, terms, shift):
-    """-Y1^s1*Y2^s2 times the image of a term dict under u -> (Y1*Y2)^{-1}.
-
-    This is a certificate cofactor read off a rep, in one pass."""
-    s1, s2 = shift
-    out = {}
-    for (a, b, c), v in terms.items():
-        key = (a - c + s1, b - c + s2)
-        out[key] = out[key] - v if key in out else -v
-    return _of(field, {e: v for e, v in out.items() if v})
-
-
-def _sub_multiple(dsts, srcs, c, shift):
-    """dst -= c * x^shift * src for each pair of term dicts, in place.
-
-    Cancelled terms are dropped.  Called with (work, *reps) and a basis
-    entry (poly, *entry_reps), it keeps the tracking identity.
+    `MembershipSolver` decides only such pairs past lone division: two
+    generators that are affine-linear in (Y1, Y2) up to a monomial, with
+    independent linear parts, whose common zero (gamma, beta) has
+    beta*gamma != 0.
     """
-    s0, s1, s2 = shift
-    minus_c = -c
-    for dst, src in zip(dsts, srcs):
-        for (a, b, u), v in src.items():
-            key = (a + s0, b + s1, u + s2)
-            t = v * minus_c
-            if key in dst:
-                left = dst[key] + t
-                if left:
-                    dst[key] = left
-                else:
-                    del dst[key]
-            else:
-                dst[key] = t
-
-
-def _tracked_nf(poly, reps, basis):
-    """Fully reduce poly against basis, preserving the tracking identity.
-
-    Returns (remainder, reps) as fresh term dicts; the inputs are not
-    touched.  Every subtraction applied to the polynomial is mirrored on the
-    reps, so whatever identity (poly, reps) satisfied on entry (for
-    s-polynomials, the basis invariant poly == sum(reps[i] * gens[i]); for a
-    membership query seeded with empty reps, input == remainder -
-    sum(reps[i] * gens[i])) still holds on exit.  The remainder has no term
-    divisible by any basis leading term.
-
-    Each step takes the grevlex-largest term of the working polynomial and
-    the first basis element, in basis order, whose leading monomial divides
-    it, so the remainder and the reps do not depend on how the dicts are kept.
-    """
-    work = dict(poly)
-    reps = tuple(dict(r) for r in reps)
-    rem = {}
-    lts = [(_leading(entry[0]), entry) for entry in basis]
-    while work:
-        e = max(work, key=_grevlex3)
-        c = work[e]
-        for (lm, lc), entry in lts:
-            if _divides(lm, e):
-                shift = (e[0] - lm[0], e[1] - lm[1], e[2] - lm[2])
-                _sub_multiple((work, *reps), (entry[0], *entry[1]), c / lc, shift)
-                break
-        else:
-            rem[e] = work.pop(e)
-    return rem, reps
-
-
-# Leading monomials u, Y2, Y1 of a reduced basis {u - alpha, Y2 - beta, Y1 - gamma}.
-_POINT_LMS = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def _horner(coeffs, root, one):
@@ -182,9 +93,6 @@ def _point_quotients(terms, beta, gamma, one):
     Y1-column by Y2 - beta gives Q2 and the column values R(Y1) =
     poly(Y1, beta); dividing R by Y1 - gamma gives Q1 in k[Y1] and r =
     poly(gamma, beta).  Q2 and Q1 come back as term dicts {(a, b): scalar}.
-    These are the quotients _tracked_nf finds against a point basis
-    {u - alpha, Y2 - beta, Y1 - gamma}: it reduces each term that has a Y2
-    by Y2 - beta, the first divisor that applies, and the rest by Y1 - gamma.
     """
     cols = {}
     for (a, b), c in terms.items():
@@ -198,91 +106,47 @@ def _point_quotients(terms, beta, gamma, one):
     return q2, {(a, 0): c for a, c in quo.items()}, r
 
 
-def _point_entry(basis, g1, g2):
-    """(beta, gamma, S2, S1, shifts) for a point basis {u - alpha, Y2 - beta, Y1 - gamma}.
+_AFFINE = ((0, 0), (1, 0), (0, 1))
 
-    S2 and S1 are the pairs of Laurent cofactors of the normalized
-    generators that make Y2 - beta and Y1 - gamma (their basis reps under
-    u -> (Y1*Y2)^{-1}), and shifts are the generators' normalization shifts.
+
+def _cramer_entry(g1, g2):
+    """(beta, gamma, S2, S1, shifts) for a pair that cuts out one torus point.
+
+    With g_hat = Y^(-d) g = c + a*Y1 + b*Y2 for each generator (d its
+    normalization shift), S2 = (x, y) solves x*g1_hat + y*g2_hat = Y2 - beta
+    and S1 solves the same for Y1 - gamma, both as constant Laurent
+    polynomials: by Cramer's rule on the linear parts, S2 = (-a2, a1)/det
+    and S1 = (b2, -b1)/det with det = a1*b2 - a2*b1, and beta and gamma are
+    minus the constant terms of those combinations.  Raises UnsupportedIdeal
+    when a g_hat is not affine-linear, when det = 0, or when beta*gamma = 0.
     """
     field = g1.field
-    (y2_poly, reps2), (y1_poly, reps1) = basis[1], basis[2]
+    zero = field.zero
+    shifts, rows = [], []
+    for g in (g1, g2):
+        shift, terms = g._poly_normalize()
+        if not terms.keys() <= set(_AFFINE):
+            raise UnsupportedIdeal(f"{g} is not affine-linear up to a monomial")
+        shifts.append(shift)
+        rows.append([terms.get(e, zero) for e in _AFFINE])
+    (c1, a1, b1), (c2, a2, b2) = rows
+    det = a1 * b2 - a2 * b1
+    if det == zero:
+        raise UnsupportedIdeal(f"{g1} and {g2} have dependent linear parts")
+    s2 = (-a2 / det, a1 / det)
+    s1 = (b2 / det, -b1 / det)
+    beta = -(s2[0] * c1 + s2[1] * c2)
+    gamma = -(s1[0] * c1 + s1[1] * c2)
+    if beta == zero or gamma == zero:
+        raise UnsupportedIdeal(f"{g1} and {g2} meet off the torus, at ({gamma}, {beta})")
+    const = LaurentPoly.constant
     return (
-        -y2_poly[(0, 0, 0)],
-        -y1_poly[(0, 0, 0)],
-        tuple(-_substitute_u(field, rep, (0, 0)) for rep in reps2[:2]),
-        tuple(-_substitute_u(field, rep, (0, 0)) for rep in reps1[:2]),
-        tuple(g._poly_normalize()[0] for g in (g1, g2)),
+        beta,
+        gamma,
+        tuple(const(field, x) for x in s2),
+        tuple(const(field, x) for x in s1),
+        tuple(shifts),
     )
-
-
-def _spoly(f, g, one):
-    (ef, cf), (eg, cg) = _leading(f[0]), _leading(g[0])
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    work = {}
-    reps = tuple({} for _ in f[1])
-    for (poly, entry_reps), c, e in ((f, -(one / cf), ef), (g, one / cg, eg)):
-        shift = tuple(l - a for l, a in zip(lcm, e))
-        _sub_multiple((work, *reps), (poly, *entry_reps), c, shift)
-    return work, reps
-
-
-def _buchberger(gens, one):
-    """Reduced Grobner basis of <gens> with cofactor tracking.
-
-    gens are term dicts over a field whose unit scalar is one.  Each basis
-    entry is a pair (poly, reps) of term dicts with poly == sum(reps[i] *
-    gens[i]).  Pairs whose leading monomials are coprime are skipped (their
-    s-polynomial always reduces to zero), and the surviving basis is
-    minimalized, tail reduced, and made monic, so normal forms against it
-    are canonical.
-    """
-    n = len(gens)
-    basis = []
-    for i, g in enumerate(gens):
-        if g:
-            basis.append((g, tuple({(0, 0, 0): one} if j == i else {} for j in range(n))))
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        def pair_key(ij):
-            a = _leading(basis[ij[0]][0])[0]
-            b = _leading(basis[ij[1]][0])[0]
-            return _grevlex3(tuple(max(x, y) for x, y in zip(a, b)))
-
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        ea = _leading(basis[i][0])[0]
-        eb = _leading(basis[j][0])[0]
-        if all(min(x, y) == 0 for x, y in zip(ea, eb)):
-            continue
-        r = _tracked_nf(*_spoly(basis[i], basis[j], one), basis)
-        if r[0]:
-            basis.append(r)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-
-    keep = []
-    for i, t in enumerate(basis):
-        lm = _leading(t[0])[0]
-        others = (
-            _leading(basis[j][0])[0]
-            for j in range(len(basis))
-            if j != i and basis[j] is not None
-        )
-        if not any(_divides(o, lm) for o in others):
-            keep.append(t)
-        else:
-            basis[i] = None
-
-    for i, t in enumerate(keep):
-        rest = keep[:i] + keep[i + 1 :]
-        poly, reps = _tracked_nf(*t, rest) if rest else t
-        s = one / _leading(poly)[1]
-        keep[i] = (
-            {e: v * s for e, v in poly.items()},
-            tuple({e: v * s for e, v in r.items()} for r in reps),
-        )
-    keep.sort(key=lambda t: _grevlex3(_leading(t[0])[0]))
-    return keep
 
 
 @dataclass(frozen=True)
@@ -342,17 +206,6 @@ class Certificate:
         }
 
 
-def _rabinowitsch_gens(g1, g2):
-    """The three term dicts in k[Y1, Y2, u] encoding the Laurent ideal (g1, g2)."""
-    one = g1.field.one
-    gens = []
-    for g in (g1, g2):
-        _, terms = g._poly_normalize()
-        gens.append({(e[0], e[1], 0): c for e, c in terms.items()})
-    gens.append({(0, 0, 0): one, (1, 1, 1): -one})
-    return gens
-
-
 def _root_refutes(h, g):
     """True when g is a unit times Y_v - r*Y_w^d and h does not vanish at its root.
 
@@ -385,22 +238,18 @@ def _root_refutes(h, g):
 
 
 class MembershipSolver:
-    """Decides h in (g1, g2)*A with certificates, caching one basis (with its
-    point entry) per pair."""
+    """Decides h in (g1, g2)*A with certificates, caching one point entry
+    (`_cramer_entry`) per pair."""
 
     def __init__(self):
-        self._bases = {}
+        self._points = {}
 
-    def _basis(self, g1, g2):
-        """The reduced basis of (g1, g2) and its point entry (`_point_entry`),
-        or None when the basis is not {u - alpha, Y2 - beta, Y1 - gamma}."""
+    def _point(self, g1, g2):
         key = (g1, g2)
-        hit = self._bases.get(key)
-        if hit is None:
-            basis = _buchberger(_rabinowitsch_gens(g1, g2), g1.field.one)
-            point = [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
-            hit = self._bases[key] = (basis, _point_entry(basis, g1, g2) if point else None)
-        return hit
+        entry = self._points.get(key)
+        if entry is None:
+            entry = self._points[key] = _cramer_entry(g1, g2)
+        return entry
 
     def membership(self, h, g1, g2):
         """Certificate if h lies in the ideal (g1, g2) of the Laurent ring, else None.
@@ -408,15 +257,13 @@ class MembershipSolver:
         First each generator g is tried as a lone divisor of h, giving the
         certificate (h/g, 0) or (0, h/g); when g is a unit times
         Y_v - r*Y_w^d, h is divided only if it vanishes at Y_v = r*Y_w^d
-        (`_root_refutes`).  Otherwise h_hat is reduced against the cached
-        basis.  When the basis is {u - alpha, Y2 - beta, Y1 - gamma},
-        synthetic division at the point (`_point_quotients`) gives h_hat =
-        Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and each cofactor is
-        (Q2*S2_i + Q1*S1_i)*Y^(h - d_i) from the basis's point entry: two
-        Laurent products, a sum and a shift.  Other bases take the tracked
-        normal form, whose reps give the same certificate under u ->
-        (Y1*Y2)^{-1}.  Every certificate is re-expanded before it is
-        returned.
+        (`_root_refutes`).  A pair with a zero generator is then decided.
+        Otherwise synthetic division at the pair's point (`_point_quotients`)
+        gives h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and each
+        cofactor is (Q2*S2_i + Q1*S1_i)*Y^(h - d_i) from the pair's cached
+        point entry: two Laurent products, a sum and a shift.  Raises
+        UnsupportedIdeal when the pair is not the ideal of one torus point.
+        Every certificate is re-expanded before it is returned.
         """
         field = h.field
         if g1.field != field or g2.field != field:
@@ -424,8 +271,6 @@ class MembershipSolver:
         zero = LaurentPoly.zero(field)
         if h.is_zero:
             return Certificate(zero, zero)
-        if g1.is_zero and g2.is_zero:
-            return None
 
         # Single-generator quotients first: they produce the short
         # certificates (t, 0) or (0, t) whenever one generator divides h.
@@ -440,34 +285,23 @@ class MembershipSolver:
             if not cert.holds_for(h, g1, g2):
                 raise CertificateError(f"division certificate failed for {h}")
             return cert
+        if g1.is_zero or g2.is_zero:
+            return None
 
+        beta, gamma, s2, s1, shifts = self._point(g1, g2)
         (h1, h2), hterms = h._poly_normalize()
-        basis, point = self._basis(g1, g2)
-        if point is not None:
-            beta, gamma, s2, s1, shifts = point
-            q2, q1, r = _point_quotients(hterms, beta, gamma, field.one)
-            if r:
-                return None
-            q2, q1 = _of(field, q2), _of(field, q1)
-            cofs = [
+        q2, q1, r = _point_quotients(hterms, beta, gamma, field.one)
+        if r:
+            return None
+        q2, q1 = _of(field, q2), _of(field, q1)
+        cert = Certificate(
+            *[
                 (q2 * a + q1 * b).shift(h1 - d1, h2 - d2)
                 for a, b, (d1, d2) in zip(s2, s1, shifts)
             ]
-        else:
-            h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
-            rem, reps = _tracked_nf(h_hat, ({}, {}, {}), basis)
-            if rem:
-                return None
-            # h_hat == -sum(reps[i] * gens[i]); substituting u -> (Y1*Y2)^{-1}
-            # kills the relation generator and leaves Laurent cofactors for the
-            # normalized pair, which the units -Y^(h - d) carry back to (g1, g2).
-            cofs = []
-            for g, rep in zip((g1, g2), reps[:2]):
-                (d1, d2), _ = g._poly_normalize()
-                cofs.append(_substitute_u(field, rep, (h1 - d1, h2 - d2)))
-        cert = Certificate(*cofs)
+        )
         if not cert.holds_for(h, g1, g2):
-            raise CertificateError(f"basis certificate failed for {h}")
+            raise CertificateError(f"point certificate failed for {h}")
         return cert
 
     def is_proper(self, g1, g2):
@@ -500,7 +334,9 @@ class MembershipSolver:
         The candidate is forced: (g1, g2) is contained in (d) for
         d = gcd(g1, g2), and any single generator of the pair ideal would
         divide both g's, hence divide d up to a unit.  So the pair is
-        principal exactly when d is itself a member.  Returns (answer, d).
+        principal exactly when d is itself a member.  Returns (answer, d);
+        like `membership`, it raises UnsupportedIdeal when neither generator
+        divides d and the pair is not the ideal of one torus point.
         """
         d = bivariate_gcd(g1, g2)
         return self.membership(d, g1, g2) is not None, d

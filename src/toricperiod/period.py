@@ -154,7 +154,7 @@ def _vanishes_at_image_point(la):
 
     The image ideal is the maximal ideal of that point (modulo it, Y1 = 1
     and Y2 = q^{-1} Y1), so this decides membership by evaluation alone,
-    sharing no code with the Grobner route.  Over QNumeric it is one
+    sharing no code with the solver.  Over QNumeric it is one
     integer sum; over QSymbolic, an evaluation in Q(q).
     """
     fld = la.field
@@ -200,7 +200,7 @@ class PeriodReport:
 
 # The one solver for the image ideal: verify_image and the CLI's identities
 # and ideal commands ask it about image_ideal(field) and image_ideal_alt(field)
-# only, so it holds at most two reduced bases per field, one per presentation.
+# only, so it holds at most two point entries per field, one per presentation.
 _IMAGE_SOLVER = MembershipSolver()
 
 
@@ -214,9 +214,10 @@ def verify_image(f, field=None):
     VerdictMismatch is raised if the two disagree.
 
     Every call asks the one module-level solver, so the image ideal's
-    reduced basis is built once per field per process.  The solver caches
-    bases only: every call still re-expands its certificate and evaluates
-    the period at the point.
+    point entry (its point and the Cramer combinations that make Y2 - 1/q
+    and Y1 - 1) is built once per field per process.  The solver caches
+    that entry only: every call still re-expands its certificate and
+    evaluates the period at the point.
     """
     la = toric_period(f, field)
     g1, g2 = image_ideal(la.field)

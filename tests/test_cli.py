@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from groebner_oracle import oracle_membership
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -364,12 +365,11 @@ def _p2_table(first_poly):
 
 
 
-def test_period_wide_exponents(tmp_path, capsys, monkeypatch):
+def test_period_wide_exponents(tmp_path, capsys):
     # Values Y1^E, 1, Y2^E: the period has 8 terms, but its certificate has
     # 2E+1 terms in each cofactor, so the output grows as E^2 bits.  Pinned
-    # as it stands; the point route must certify it as the tracked route does.
-    # A solver decides its route when it builds a basis, so the tracked run
-    # gets a fresh one.
+    # as it stands; the point route must certify it as the oracle's tracked
+    # normal form does.
     E = 200
     doc = _p2_table([{"c": "1", "e": [E, 0]}])
     doc["values"][2]["poly"] = [{"c": "1", "e": [0, E]}]
@@ -380,9 +380,10 @@ def test_period_wide_exponents(tmp_path, capsys, monkeypatch):
     assert len(report["lA"]) == 8
     cert = report["certificate"]
     assert len(cert["u1"]) == len(cert["u2"]) == 2 * E + 1
-    monkeypatch.setattr(groebner, "_POINT_LMS", None)
-    monkeypatch.setattr(period, "_IMAGE_SOLVER", MembershipSolver())
-    assert run_cli(capsys, "period", "--input", src) == (0, out, "")
+    field = QNumeric(2)
+    la = LaurentPoly.from_json_terms(field, report["lA"])
+    tracked = oracle_membership(la, *period.image_ideal(field))
+    assert Certificate(*tracked).to_json() == cert
 
 
 def _wide_table(p, e1, e2, c="1"):
@@ -483,18 +484,18 @@ def test_ideal_checks(capsys):
 
 def test_commands_share_the_image_solver(monkeypatch, capsys):
     # identities and every ideal check ask period._IMAGE_SOLVER, so one
-    # process builds the symbolic basis of each presentation once, and a
-    # second pass prints the same bytes from the cached bases.
+    # process builds the symbolic point entry of each presentation once, and
+    # a second pass prints the same bytes from the cached entries.
     solver = MembershipSolver()
     monkeypatch.setattr(period, "_IMAGE_SOLVER", solver)
     builds = []
-    buchberger = groebner._buchberger
+    cramer_entry = groebner._cramer_entry
 
-    def counted(gens, one):
-        builds.append(gens)
-        return buchberger(gens, one)
+    def counted(g1, g2):
+        builds.append((g1, g2))
+        return cramer_entry(g1, g2)
 
-    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "_cramer_entry", counted)
     commands = [["identities"]] + [
         ["ideal", "--check", check] for check in ("equality", "principal", "proper")
     ]
@@ -503,7 +504,7 @@ def test_commands_share_the_image_solver(monkeypatch, capsys):
     assert passes[1] == passes[0]
     S = QSymbolic()
     assert len(builds) == 2
-    assert set(solver._bases) == {period.image_ideal(S), period.image_ideal_alt(S)}
+    assert set(solver._points) == {period.image_ideal(S), period.image_ideal_alt(S)}
 
 
 def test_ideal_bad_q():

@@ -1,23 +1,31 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from toricperiod import groebner, scalars
-from toricperiod.groebner import (
-    _POINT_LMS,
-    Certificate,
-    MembershipSolver,
+from groebner_oracle import (
+    POINT_LMS,
     _buchberger,
     _grevlex3,
     _leading,
-    _point_quotients,
     _rabinowitsch_gens,
-    _root_refutes,
     _substitute_u,
     _tracked_nf,
+    oracle_basis,
+    oracle_membership,
+    oracle_point_entry,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricperiod import UnsupportedIdeal, groebner, scalars
+from toricperiod.groebner import (
+    Certificate,
+    MembershipSolver,
+    _cramer_entry,
+    _point_quotients,
+    _root_refutes,
     bivariate_gcd,
 )
 from toricperiod.laurent import LaurentPoly, NotDivisible, _of, mono, one, qpow, y1, y2, zero
@@ -55,7 +63,7 @@ def test_grevlex_order():
     assert max([(2, 0, 0), (1, 1, 0), (0, 0, 2)], key=_grevlex3) == (2, 0, 0)
 
 
-# -- Buchberger ---------------------------------------------------------------------
+# -- Buchberger (the reference oracle) ------------------------------------------------
 
 
 def combine3(field, pairs):
@@ -107,7 +115,7 @@ def test_tracking_invariant_on_basis():
 
 def test_normal_form_is_idempotent_and_tracked():
     g1, g2 = gen_pair(N3)
-    basis, _ = MembershipSolver()._basis(g1, g2)
+    basis = oracle_basis(g1, g2)
     gens = _rabinowitsch_gens(g1, g2)
     rng = random.Random(19)
     for _ in range(30):
@@ -187,7 +195,12 @@ def test_unit_not_member_and_proper():
         g1, g2 = gen_pair(field)
         assert solver.membership(one(field), g1, g2) is None
         assert solver.is_proper(g1, g2)
-        assert not solver.is_proper(g1, one(field) - qpow(field, 1) * y1(field))
+        # (1 - Y1, 1 - q Y1) contains the unit 1 - q; its linear parts are
+        # dependent, so the solver refuses the pair and the oracle answers.
+        dependent = one(field) - qpow(field, 1) * y1(field)
+        assert oracle_membership(one(field), g1, dependent) is not None
+        with pytest.raises(UnsupportedIdeal):
+            solver.is_proper(g1, dependent)
 
 
 def test_zero_and_degenerate_inputs():
@@ -215,10 +228,10 @@ def test_basis_cache_reused():
     g1, g2 = gen_pair(N3)
     h = one(N3) - qpow(N3, 1) * y2(N3)
     solver.membership(h, g1, g2)
-    first = solver._bases[(g1, g2)]
+    first = solver._points[(g1, g2)]
     solver.membership(h * y1(N3, 2), g1, g2)
-    assert solver._bases[(g1, g2)] is first
-    assert len(solver._bases) == 1
+    assert solver._points[(g1, g2)] is first
+    assert len(solver._points) == 1
 
 
 def test_membership_is_deterministic():
@@ -442,8 +455,9 @@ def test_wide_q_span_symbolic_member():
 # -- the point route ---------------------------------------------------------------------
 #
 # Both presentations of the image ideal have the reduced basis
-# {u - q, Y2 - 1/q, Y1 - 1}, so membership takes the point route; with
-# _POINT_LMS patched away it takes the tracked normal form instead.
+# {u - q, Y2 - 1/q, Y1 - 1}.  The solver reads the point and the
+# combinations S2, S1 off the generators by Cramer's rule; the oracle reads
+# them off that basis and decides membership by its tracked normal form.
 
 FIELDS = [QNumeric(2), QNumeric(3), QNumeric(5), QNumeric(7), S]
 
@@ -460,10 +474,8 @@ def point_queries(draw):
 
 def _check_point_quotients(field, g1, g2, h):
     """h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with Q2 polynomial, Q1 in
-    k[Y1] and r = h_hat(gamma, beta), at the point basis of (g1, g2)."""
-    basis, _ = MembershipSolver()._basis(g1, g2)
-    assert [_leading(poly)[0] for poly, _ in basis] == _POINT_LMS
-    beta, gamma = -basis[1][0][(0, 0, 0)], -basis[2][0][(0, 0, 0)]
+    k[Y1] and r = h_hat(gamma, beta), at the point of (g1, g2)."""
+    beta, gamma = _cramer_entry(g1, g2)[:2]
     assert (gamma, beta) == (field.one, field.q_power(-1))
     _, terms = h._poly_normalize()
     h_hat = LaurentPoly(field, terms)
@@ -489,6 +501,19 @@ def test_point_quotients_divide_at_the_point(field):
             _check_point_quotients(field, g1, g2, h + mono(field, 1, 2, -1))
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["q2", "q3", "q5", "q7", "symbolic"])
+def test_cramer_entry_matches_the_buchberger_point_entry(field):
+    # Both presentations have a point basis, and Cramer's rule on the
+    # generators gives the point entry read off it, shifts included.
+    for ideal in (image_ideal, image_ideal_alt):
+        g1, g2 = ideal(field)
+        basis = oracle_basis(g1, g2)
+        assert [_leading(poly)[0] for poly, _ in basis] == POINT_LMS
+        entry = _cramer_entry(g1, g2)
+        assert entry == oracle_point_entry(g1, g2)
+        assert [str(c) for c in entry[:2]] == [str(field.q_power(-1)), str(field.one)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(point_queries())
 def test_point_route_matches_tracked_normal_form(case):
@@ -496,12 +521,10 @@ def test_point_route_matches_tracked_normal_form(case):
     if not h.is_zero:
         _check_point_quotients(field, g1, g2, h)
     point = MembershipSolver().membership(h, g1, g2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "_POINT_LMS", None)
-        tracked = MembershipSolver().membership(h, g1, g2)
+    tracked = oracle_membership(h, g1, g2)
     assert (point is None) == (tracked is None)
     if point is not None:
-        assert point.to_json() == tracked.to_json()
+        assert point.to_json() == Certificate(*tracked).to_json()
 
 
 def _basis_only_member(field):
@@ -511,17 +534,28 @@ def _basis_only_member(field):
     return h + (one(field) - y1(field)) * (one(field) - qpow(field, 1) * y1(field))
 
 
-def test_point_route_runs_without_tracked_normal_form(monkeypatch):
+# The tracked route's names, which live in the oracle and not in the engine.
+_ORACLE_ONLY = (
+    "_buchberger",
+    "_spoly",
+    "_tracked_nf",
+    "_sub_multiple",
+    "_substitute_u",
+    "_rabinowitsch_gens",
+    "_point_entry",
+    "_POINT_LMS",
+    "_grevlex3",
+    "_divides",
+    "_leading",
+)
+
+
+def test_point_route_runs_without_tracked_normal_form():
+    assert not [name for name in _ORACLE_ONLY if hasattr(groebner, name)]
     solvers = {}
     for field in (N3, S):
         for ideal in (image_ideal, image_ideal_alt):
             solvers[field, ideal] = MembershipSolver()
-            solvers[field, ideal]._basis(*ideal(field))
-
-    def refuse(*args):
-        raise AssertionError("tracked normal form used")
-
-    monkeypatch.setattr(groebner, "_tracked_nf", refuse)
     for (field, ideal), solver in solvers.items():
         g1, g2 = ideal(field)
         h = _basis_only_member(field)
@@ -532,24 +566,23 @@ def test_point_route_runs_without_tracked_normal_form(monkeypatch):
 
 
 def test_warm_point_route_does_no_tracked_reduction(monkeypatch):
-    # Once a solver holds the point basis, a query forms its cofactors from
-    # the two Horner quotients and the basis's point entry: no rep dict is
-    # reduced or substituted, and the certificates are a fresh solver's.
+    # Once a solver holds the pair's point entry, a query forms its
+    # cofactors from the two Horner quotients and that entry: the entry is
+    # not rebuilt, and the certificates are a fresh solver's.
     cases = []
     for field in (N3, S):
         for ideal in (image_ideal, image_ideal_alt):
             g1, g2 = ideal(field)
             h = _basis_only_member(field)
             warm = MembershipSolver()
-            warm._basis(g1, g2)
+            warm._point(g1, g2)
             fresh = MembershipSolver().membership(h, g1, g2)
             cases.append((warm, g1, g2, h, fresh))
 
     def refuse(*args):
-        raise AssertionError("rep dicts reduced or substituted per query")
+        raise AssertionError("point entry rebuilt per query")
 
-    for name in ("_sub_multiple", "_substitute_u", "_tracked_nf"):
-        monkeypatch.setattr(groebner, name, refuse)
+    monkeypatch.setattr(groebner, "_cramer_entry", refuse)
     for warm, g1, g2, h, fresh in cases:
         cert = warm.membership(h, g1, g2)
         assert cert.to_json() == fresh.to_json()
@@ -738,30 +771,91 @@ def test_wrong_point_rep_raises_certificate_error(field, monkeypatch):
         MembershipSolver().membership(_basis_only_member(field), g1, g2)
 
 
-def test_non_point_ideal_uses_tracked_route(monkeypatch):
+# -- pairs that are not the ideal of one torus point ----------------------------------
+#
+# Past lone division the solver decides only point pairs and raises
+# UnsupportedIdeal on the rest; the oracle's answer stands beside each case.
+
+
+def test_non_point_ideal_is_refused(monkeypatch):
     # The three-point ideal below is not the ideal of one point, so its
-    # basis has no {u - a, Y2 - b, Y1 - c} shape.
+    # basis has no {u - a, Y2 - b, Y1 - c} shape, and the point route is
+    # never entered.
     g1 = y1(S, 2) - y2(S)
     g2 = y1(S, 3) - y1(S)
+    assert oracle_point_entry(g1, g2) is None
     solver = MembershipSolver()
-    solver._basis(g1, g2)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _tracked_nf(*args)
 
     def refuse(*args):
         raise AssertionError("point route used")
 
-    monkeypatch.setattr(groebner, "_tracked_nf", counted)
     monkeypatch.setattr(groebner, "_point_quotients", refuse)
     h = y2(S) - one(S)
-    cert = solver.membership(h, g1, g2)
-    assert cert is not None and cert.holds_for(h, g1, g2)
-    assert len(calls) == 1
-    assert solver.membership(y2(S) - qpow(S, 1), g1, g2) is None
-    assert len(calls) == 2
+    cofs = oracle_membership(h, g1, g2)
+    assert cofs is not None and Certificate(*cofs).holds_for(h, g1, g2)
+    with pytest.raises(UnsupportedIdeal):
+        solver.membership(h, g1, g2)
+    assert oracle_membership(y2(S) - qpow(S, 1), g1, g2) is None
+    with pytest.raises(UnsupportedIdeal):
+        solver.membership(y2(S) - qpow(S, 1), g1, g2)
+    assert not solver._points
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # the point (0, 0) lies on both axes
+        pytest.param(lambda F: (y1(F) - y2(F), y1(F) + y2(F)), id="axis"),
+        # dependent linear parts; g1 - g2 = (q - 1) Y1 and q*g1 - g2 = q - 1
+        pytest.param(lambda F: (one(F) - y1(F), one(F) - qpow(F, 1) * y1(F)), id="dependent"),
+    ],
+)
+def test_unit_ideal_pairs_are_refused(field, pair):
+    # Each pair contains a unit, so 1 is a member, which the point route
+    # would deny; a query that no lone generator divides is refused.
+    g1, g2 = pair(field)
+    h = one(field)
+    with pytest.raises(NotDivisible):
+        h.divide_exact(g1)
+    with pytest.raises(NotDivisible):
+        h.divide_exact(g2)
+    cofs = oracle_membership(h, g1, g2)
+    assert cofs is not None and Certificate(*cofs).holds_for(h, g1, g2)
+    with pytest.raises(UnsupportedIdeal):
+        MembershipSolver().membership(h, g1, g2)
+    # a lone multiple still gets its one-term certificate
+    cert = MembershipSolver().membership(g1 * y2(field, 3), g1, g2)
+    assert (cert.u1, cert.u2) == (y2(field, 3), zero(field))
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_zero_generator_pair_is_decided_by_lone_division(field):
+    # (g1, 0) is the principal ideal (g1): a non-multiple is no member, and
+    # the pair needs no point entry.
+    g1 = one(field) - y1(field)
+    h = one(field) - qpow(field, 1) * y2(field)
+    assert oracle_membership(h, g1, zero(field)) is None
+    assert oracle_membership(h, zero(field), g1) is None
+    solver = MembershipSolver()
+    assert solver.membership(h, g1, zero(field)) is None
+    assert solver.membership(h, zero(field), g1) is None
+    assert not solver._points
+
+
+def test_oracle_shares_no_code_with_the_solver():
+    # The reference must not import the module it checks.
+    tree = ast.parse((Path(__file__).parent / "groebner_oracle.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert imported
+    bad = [m for m in imported if m.split(".")[-1] == "groebner" or ".groebner." in m]
+    assert not bad, bad
 
 
 # -- the root test for single-generator shortcuts ---------------------------------

@@ -491,10 +491,10 @@ def test_wrong_member_verdict_is_caught(monkeypatch):
 
 def test_image_basis_is_shared_per_field(monkeypatch):
     # verify_image asks the one module-level solver about image_ideal(field)
-    # only, so it keeps one reduced basis per field and reuses it; the
+    # only, so it keeps one point entry per field and reuses it; the
     # certificates are those of a fresh solver.  The markers'
     # periods are g2 and g1 themselves, answered by lone division, so they
-    # add no basis.
+    # add no entry.
     shared = MembershipSolver()
     monkeypatch.setattr(period, "_IMAGE_SOLVER", shared)
     N3, N5 = QNumeric(3), QNumeric(5)
@@ -508,12 +508,12 @@ def test_image_basis_is_shared_per_field(monkeypatch):
         report = verify_image(f, field)
         fresh = MembershipSolver().membership(report.la, *image_ideal(report.la.field))
         assert report.certificate.to_json() == fresh.to_json()
-        first.update((k, v) for k, v in shared._bases.items() if k not in first)
-    assert set(shared._bases) == {ideals[N3], ideals[N5]}
-    for key, basis in shared._bases.items():
+        first.update((k, v) for k, v in shared._points.items() if k not in first)
+    assert set(shared._points) == {ideals[N3], ideals[N5]}
+    for key, entry in shared._points.items():
         g1, g2 = image_ideal(key[0].field)
         assert key[0] is g1 and key[1] is g2
-        assert basis is first[key]
+        assert entry is first[key]
     for F, pair in ideals.items():
         assert image_ideal(F) is pair
         assert [g.terms for g in pair] == before[F]
