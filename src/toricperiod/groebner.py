@@ -29,6 +29,11 @@ A tracked Buchberger basis of the Rabinowitsch ideal, kept with the tests
 as a reference, gives the same point, the same S2 and S1 and the same
 certificates.
 
+Principality is decided by divisibility, with no gcd: the pair is (g_i)
+when g_i divides g_j, and a point pair is not principal, since its two
+affine-linear generators are coprime and the ideal is proper.  The
+pseudo-remainder gcd kept with the tests as a reference agrees.
+
 The per-query kernels give unit and q-monomial factors no scalar product:
 `_horner` and `_root_refutes` skip the powers of a root equal to one
 (gamma = 1 for the image ideal), the Laurent products that form the
@@ -49,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, NotDivisible, _grevlex2, _of
-from .scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip, psub
+from .scalars import FieldMismatch
 
 
 class CertificateError(RuntimeError):
@@ -213,6 +218,10 @@ def _root_refutes(h, g):
     multiple, and A/(Y_v - r*Y_w^d) is k[Y_w^{+-1}] by Y_v -> r*Y_w^d, so
     g divides h exactly when h vanishes after that substitution: True means
     h.divide_exact(g) raises NotDivisible.  Any other g gives False.
+
+    r is raised only to exponents relative to h's minimum in Y_v: that
+    monomial factor is a unit and does not change whether h vanishes, and
+    an input far from the origin costs no huge power.
     """
     if len(g.terms) != 2:
         return False
@@ -225,9 +234,10 @@ def _root_refutes(h, g):
     w = 1 - v
     r, d = -cf / ce, f[w] - e[w]
     unit = r == h.field.one
+    low = min((x[v] for x in h.terms), default=0)
     powers, sums = {}, {}
     for x, c in h.terms.items():
-        a = x[v]
+        a = x[v] - low
         if not unit:
             if a not in powers:
                 powers[a] = r**a
@@ -331,108 +341,29 @@ class MembershipSolver:
     def is_principal_pair(self, g1, g2):
         """Decide whether (g1, g2) is a principal ideal of the Laurent ring.
 
-        The candidate is forced: (g1, g2) is contained in (d) for
-        d = gcd(g1, g2), and any single generator of the pair ideal would
-        divide both g's, hence divide d up to a unit.  So the pair is
-        principal exactly when d is itself a member.  Returns (answer, d);
-        like `membership`, it raises UnsupportedIdeal when neither generator
-        divides d and the pair is not the ideal of one torus point.
+        Returns (answer, d) with d the gcd of g1 and g2, made a polynomial
+        with minimum exponent zero in each variable and grevlex-leading
+        coefficient one.  Two zeros give (True, 0).  When g_i divides g_j
+        (`divide_exact`; zero is divisible by anything), the ideal is (g_i)
+        and d is g_i.  Otherwise the pair must be the ideal of one torus
+        point, or UnsupportedIdeal is raised as in `membership`; its
+        generators are then coprime affine-linear polynomials, so d = 1,
+        which is not a member of that proper ideal: (False, 1).
         """
-        d = bivariate_gcd(g1, g2)
-        return self.membership(d, g1, g2) is not None, d
-
-
-# -- gcd in k[Y1, Y2] ----------------------------------------------------------
-#
-# Computed by a primitive pseudo-remainder sequence in (k[Y2])[Y1].  The outer
-# polynomials are dense tuples over Y1 whose entries are dense tuples over Y2,
-# lowest degree first at both layers, so the univariate helpers from scalars
-# apply directly to the coefficient arithmetic.
-
-
-def _rec_strip(f):
-    while f and not f[-1]:
-        f = f[:-1]
-    return f
-
-
-def _rec_scale(f, s):
-    return _rec_strip(tuple(pmul(c, s) for c in f))
-
-
-def _rec_sub(f, g):
-    n = max(len(f), len(g))
-    f = f + ((),) * (n - len(f))
-    g = g + ((),) * (n - len(g))
-    return _rec_strip(tuple(psub(a, b) for a, b in zip(f, g)))
-
-
-def _rec_content(f):
-    c = ()
-    for coef in f:
-        c = pgcd(c, coef)
-    return c
-
-
-def _rec_primitive(f):
-    c = _rec_content(f)
-    if c == (1,):
-        return f
-    return tuple(pdiv_exact(coef, c) for coef in f)
-
-
-def _prem(f, g):
-    """Pseudo-remainder of f by g in (k[Y2])[Y1], up to k[Y2]-unit content."""
-    while len(f) >= len(g):
-        shift = len(f) - len(g)
-        f = _rec_sub(_rec_scale(f, g[-1]), ((),) * shift + _rec_scale(g, f[-1]))
-    return f
-
-
-def bivariate_gcd(f, g):
-    """Gcd of two Laurent polynomials, as a polynomial with unit leading term.
-
-    Monomials are units of the Laurent ring, so the gcd is only meaningful up
-    to a unit; the representative returned is monic with respect to grevlex
-    and has minimum exponent zero in each variable.
-    """
-    field = f.field
-    if f.field != g.field:
-        raise FieldMismatch("gcd arguments live in different fields")
-    if f.is_zero and g.is_zero:
-        return LaurentPoly.zero(field)
-
-    def to_rec(p):
-        _, terms = p._poly_normalize()
-        deg1 = max(e[0] for e in terms)
-        cols = []
-        for a in range(deg1 + 1):
-            row = {e[1]: c for e, c in terms.items() if e[0] == a}
-            deg2 = max(row) if row else -1
-            cols.append(pstrip(tuple(row.get(b, field.zero) for b in range(deg2 + 1))))
-        return _rec_strip(tuple(cols))
-
-    if f.is_zero or g.is_zero:
-        rec = to_rec(g if f.is_zero else f)
-        content = ()
-    else:
-        a, b = to_rec(f), to_rec(g)
-        content = pgcd(_rec_content(a), _rec_content(b))
-        a, b = _rec_primitive(a), _rec_primitive(b)
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _prem(a, b)
-            a, b = b, (_rec_primitive(r) if r else ())
-        rec = a
-
-    if content:
-        rec = tuple(pmul(c, content) for c in rec)
-    terms = {}
-    for e1, coef in enumerate(rec):
-        for e2, c in enumerate(coef):
-            if c != 0:
-                terms[(e1, e2)] = c
-    out = LaurentPoly(field, terms)
-    lt = max(out.terms, key=_grevlex2)
-    return out.scale(field.one / out.terms[lt])
+        field = g1.field
+        if g2.field != field:
+            raise FieldMismatch("principality arguments live in different fields")
+        if g1.is_zero and g2.is_zero:
+            return True, LaurentPoly.zero(field)
+        for g, other in ((g1, g2), (g2, g1)):
+            if g.is_zero:
+                continue
+            try:
+                other.divide_exact(g)
+            except NotDivisible:
+                continue
+            _, terms = g._poly_normalize()
+            lead = terms[max(terms, key=_grevlex2)]
+            return True, _of(field, terms).scale(field.one / lead)
+        self._point(g1, g2)
+        return False, LaurentPoly.one(field)

@@ -42,7 +42,7 @@ class NotRational(ValueError):
 # trailing zeros (so the zero polynomial is the empty tuple).  Coefficients
 # only need +, -, *, / and comparison against 0/1, which lets the same
 # helpers serve Fraction coefficients here and generic field scalars in the
-# groebner module's gcd routines.
+# tests' reference gcd.
 
 def pstrip(coeffs):
     c = list(coeffs)

@@ -29,9 +29,15 @@ s-polynomials alike) runs in place on the working polynomial and on each
 cofactor.  The leading-term choice and the divisor order are fixed (grevlex
 maximum, first divisor in basis order), so with canonical scalars the
 certificates do not depend on that bookkeeping.
+
+`bivariate_gcd` computes the gcd of two Laurent polynomials by a primitive
+pseudo-remainder sequence.  The engine decides principality by divisibility
+alone; the reference answer is gcd-then-membership: the pair is principal
+exactly when its gcd is a member.
 """
 
-from toricperiod.laurent import LaurentPoly, NotDivisible, _of
+from toricperiod.laurent import LaurentPoly, NotDivisible, _grevlex2, _of
+from toricperiod.scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip, psub
 
 
 def _grevlex3(e):
@@ -263,3 +269,99 @@ def oracle_membership(h, g1, g2):
         (d1, d2), _ = g._poly_normalize()
         cofs.append(_substitute_u(field, rep, (h1 - d1, h2 - d2)))
     return tuple(cofs)
+
+
+# -- gcd in k[Y1, Y2] ----------------------------------------------------------
+#
+# Computed by a primitive pseudo-remainder sequence in (k[Y2])[Y1].  The outer
+# polynomials are dense tuples over Y1 whose entries are dense tuples over Y2,
+# lowest degree first at both layers, so the univariate helpers from scalars
+# apply directly to the coefficient arithmetic.
+
+
+def _rec_strip(f):
+    while f and not f[-1]:
+        f = f[:-1]
+    return f
+
+
+def _rec_scale(f, s):
+    return _rec_strip(tuple(pmul(c, s) for c in f))
+
+
+def _rec_sub(f, g):
+    n = max(len(f), len(g))
+    f = f + ((),) * (n - len(f))
+    g = g + ((),) * (n - len(g))
+    return _rec_strip(tuple(psub(a, b) for a, b in zip(f, g)))
+
+
+def _rec_content(f):
+    c = ()
+    for coef in f:
+        c = pgcd(c, coef)
+    return c
+
+
+def _rec_primitive(f):
+    c = _rec_content(f)
+    if c == (1,):
+        return f
+    return tuple(pdiv_exact(coef, c) for coef in f)
+
+
+def _prem(f, g):
+    """Pseudo-remainder of f by g in (k[Y2])[Y1], up to k[Y2]-unit content."""
+    while len(f) >= len(g):
+        shift = len(f) - len(g)
+        f = _rec_sub(_rec_scale(f, g[-1]), ((),) * shift + _rec_scale(g, f[-1]))
+    return f
+
+
+def bivariate_gcd(f, g):
+    """Gcd of two Laurent polynomials, as a polynomial with unit leading term.
+
+    Monomials are units of the Laurent ring, so the gcd is only meaningful up
+    to a unit; the representative returned is monic with respect to grevlex
+    and has minimum exponent zero in each variable.
+    """
+    field = f.field
+    if f.field != g.field:
+        raise FieldMismatch("gcd arguments live in different fields")
+    if f.is_zero and g.is_zero:
+        return LaurentPoly.zero(field)
+
+    def to_rec(p):
+        _, terms = p._poly_normalize()
+        deg1 = max(e[0] for e in terms)
+        cols = []
+        for a in range(deg1 + 1):
+            row = {e[1]: c for e, c in terms.items() if e[0] == a}
+            deg2 = max(row) if row else -1
+            cols.append(pstrip(tuple(row.get(b, field.zero) for b in range(deg2 + 1))))
+        return _rec_strip(tuple(cols))
+
+    if f.is_zero or g.is_zero:
+        rec = to_rec(g if f.is_zero else f)
+        content = ()
+    else:
+        a, b = to_rec(f), to_rec(g)
+        content = pgcd(_rec_content(a), _rec_content(b))
+        a, b = _rec_primitive(a), _rec_primitive(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            r = _prem(a, b)
+            a, b = b, (_rec_primitive(r) if r else ())
+        rec = a
+
+    if content:
+        rec = tuple(pmul(c, content) for c in rec)
+    terms = {}
+    for e1, coef in enumerate(rec):
+        for e2, c in enumerate(coef):
+            if c != 0:
+                terms[(e1, e2)] = c
+    out = LaurentPoly(field, terms)
+    lt = max(out.terms, key=_grevlex2)
+    return out.scale(field.one / out.terms[lt])

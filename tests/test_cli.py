@@ -454,6 +454,35 @@ def test_period_oversized_documents_fail_fast(tmp_path, doc, fragment):
     assert fragment in proc.stderr
 
 
+def test_period_far_offset_exponents(tmp_path):
+    # Exponent span 1 at offset 10^18: inside the span bound, so the document
+    # is read and certified, and no step may take a power q^(10^18).  Run in
+    # a child with a timeout and a memory cap, so a regression fails instead
+    # of hanging.
+    far = 10**18
+    rows = [
+        {"class": label, "poly": [{"c": "1", "e": [far, far + i % 2]}]}
+        for i, label in enumerate(["[0:1]", "[1:1]", "[2:1]", "[1:0]"])
+    ]
+    path = _write_doc(tmp_path, {"prime": 3, "level": 1, "values": rows})
+    src = str(Path(toricperiod.__file__).resolve().parent.parent)
+    cap = 1 << 30
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricperiod.cli", "period", "--input", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert time.monotonic() - started < 1.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["member"] and report["certificate"]["verified"]
+    assert min(t["e"][0] for t in report["lA"]) == far
+
+
 def test_ideal_checks(capsys):
     code, out, _ = run_cli(capsys, "ideal", "--check", "equality")
     assert code == 0

@@ -12,6 +12,7 @@ from groebner_oracle import (
     _rabinowitsch_gens,
     _substitute_u,
     _tracked_nf,
+    bivariate_gcd,
     oracle_basis,
     oracle_membership,
     oracle_point_entry,
@@ -26,7 +27,6 @@ from toricperiod.groebner import (
     _cramer_entry,
     _point_quotients,
     _root_refutes,
-    bivariate_gcd,
 )
 from toricperiod.laurent import LaurentPoly, NotDivisible, _of, mono, one, qpow, y1, y2, zero
 from toricperiod.period import image_ideal, image_ideal_alt
@@ -907,6 +907,25 @@ def test_root_test_agrees_with_exact_division(case):
         assert not _root_refutes(h, g)
 
 
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_far_offset_queries_cost_no_huge_power(field):
+    # g2's root is Y1 = q*Y2, and h sits at Y1^(10^18): the root test must
+    # raise q only to exponents relative to h's minimum in Y1, or a query
+    # far from the origin takes a power q^(10^18).
+    g1, g2 = image_ideal(field)
+    far = LaurentPoly.monomial(field, field.one, 10**18, 10**18)
+    lone = g2 * (y1(field) + 2) * far
+    point = (g1 * y2(field) + g2 * y1(field, 2)) * far
+    for h in (lone, point):
+        assert _root_refutes(h, g1)
+        assert _root_refutes(h, g2) == (h is point)
+        cert = MembershipSolver().membership(h, g1, g2)
+        assert cert is not None and cert.holds_for(h, g1, g2)
+    outside = lone + far
+    assert _root_refutes(outside, g1) and _root_refutes(outside, g2)
+    assert MembershipSolver().membership(outside, g1, g2) is None
+
+
 # -- ideal comparison -------------------------------------------------------------------
 
 
@@ -989,3 +1008,88 @@ def test_is_principal_pair():
     flag, d = solver.is_principal_pair(f, g)
     assert flag is True
     assert d == y1(N3) - one(N3)
+
+
+def test_principality_uses_no_gcd():
+    # The pseudo-remainder gcd lives in the oracle, not in the engine.
+    gcd_names = ("bivariate_gcd", "_rec_strip", "_rec_scale", "_rec_sub", "_rec_content",
+                 "_rec_primitive", "_prem")
+    assert not [name for name in gcd_names if hasattr(groebner, name)]
+    tree = ast.parse(Path(groebner.__file__).read_text())
+    from_scalars = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scalars"
+        for alias in node.names
+    ]
+    assert from_scalars == ["FieldMismatch"]
+
+
+def _affine_pair(rng, field):
+    """Two generators Y^s * (c + a*Y1 + b*Y2) with small, often zero, coefficients."""
+    out = []
+    for _ in range(2):
+        c, a, b = (
+            field.from_fraction(Fraction(rng.choice([-2, -1, 0, 0, 1, 2]), rng.choice([1, 3])))
+            * field.q_power(rng.randint(-1, 1))
+            for _ in range(3)
+        )
+        g = LaurentPoly(field, {(0, 0): c, (1, 0): a, (0, 1): b})
+        out.append(g.shift(rng.randint(-2, 2), rng.randint(-2, 2)))
+    return out
+
+
+def _principal_cases(rng):
+    """(g1, g2) pairs: pairs with a zero generator, products f*h, g*h over
+    QNumeric(3) with a planted factor h of two or more terms, and
+    affine-linear pairs over QNumeric(3) and QSymbolic."""
+    for field in (N3, S):
+        g = one(field) - qpow(field, 1) * y2(field, 2)
+        yield zero(field), zero(field)
+        yield g * y1(field, -1), zero(field)
+        yield zero(field), g
+    for _ in range(150):
+        f, g = (rand_laurent(rng, N3, nterms=2, span=1) for _ in range(2))
+        h = zero(N3)
+        while len(h.terms) < 2:
+            h = rand_laurent(rng, N3, nterms=3, span=1)
+        yield f * h, g * h
+    for field in (N3, S):
+        for _ in range(150):
+            yield _affine_pair(rng, field)
+
+
+def test_principality_by_divisibility_matches_gcd_then_membership():
+    # The reference answer is the oracle's gcd d followed by the oracle's
+    # membership of d.  A pair the solver refuses must be one that gcd-then-
+    # membership could not settle on the engine's routes either: no
+    # generator divides d, and the pair is not two affine-linear generators
+    # (up to a monomial) whose Buchberger basis is the ideal of one point.
+    rng = random.Random(26)
+    solver = MembershipSolver()
+    seen = {True: 0, False: 0, None: 0}
+
+    def divides(g, d):
+        try:
+            d.divide_exact(g)
+        except NotDivisible:
+            return False
+        return True
+
+    def affine(g):
+        return g._poly_normalize()[1].keys() <= {(0, 0), (1, 0), (0, 1)}
+
+    for g1, g2 in _principal_cases(rng):
+        d = bivariate_gcd(g1, g2)
+        try:
+            got = solver.is_principal_pair(g1, g2)
+        except UnsupportedIdeal:
+            assert not d.is_zero
+            assert not any(not g.is_zero and divides(g, d) for g in (g1, g2))
+            assert not (affine(g1) and affine(g2) and oracle_point_entry(g1, g2) is not None)
+            seen[None] += 1
+            continue
+        assert got == (oracle_membership(d, g1, g2) is not None, d)
+        assert got[1].to_json_terms() == d.to_json_terms()
+        seen[got[0]] += 1
+    assert min(seen.values()) > 0, seen
