@@ -104,14 +104,15 @@ def _zpoly_display(window, disp):
 # -- identities ----------------------------------------------------------------------
 
 
-def _period_check(name, label, vec, want, field, disp):
-    """A marker's period against its expected value and its cleared zeta window."""
+def _period_check(name, label, vec, window, want, field, disp):
+    """A marker's period against its expected value and its cleared zeta
+    window (`cleared_window`, built once by the caller) at Z = 1."""
     got = toric_period(vec, field)
-    window = cleared_window(vec, field).eval_z1()
+    at_one = window.eval_z1()
     complaint = f"expected {disp(want)}, got {disp(got)}"
-    if window != got:
-        complaint += f", cleared window gives {disp(window)}"
-    return name, got == want == window, f"l({label}) = {disp(got)}", complaint
+    if at_one != got:
+        complaint += f", cleared window gives {disp(at_one)}"
+    return name, got == want == at_one, f"l({label}) = {disp(got)}", complaint
 
 
 def _identity_checks(disp, sabotage):
@@ -123,10 +124,11 @@ def _identity_checks(disp, sabotage):
     if sabotage:
         expected_sph = unit + qpow(field, -1) * y1(field) * y2(field, -1)
 
-    yield _period_check("spherical-period", "sph", SPH, expected_sph, field, disp)
-    yield _period_check("iwahori-period", "f0", PHI_W, unit - y1(field), field, disp)
-
+    sph_window = cleared_window(SPH, field)
+    yield _period_check("spherical-period", "sph", SPH, sph_window, expected_sph, field, disp)
     window = cleared_window(PHI_W, field)
+    yield _period_check("iwahori-period", "f0", PHI_W, window, unit - y1(field), field, disp)
+
     want_window = ZPoly(field, 0, 1, {0: unit, 1: -y1(field)})
     yield (
         "iwahori-zeta-cleared",

@@ -24,7 +24,8 @@ Synthetic division decides it and builds the certificate: h_hat by
 Y2 - beta column by column, then the column values by Y1 - gamma, gives
 h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r with r = h_hat(gamma, beta).
 A nonzero r proves non-membership.  When r = 0 the cofactors are
-(Q2*S2_i + Q1*S1_i) times a monomial, with S2 and S1 fixed once per pair.
+(Q2*S2_i + Q1*S1_i) times a monomial, with the scalars S2 and S1 fixed once
+per pair, so each is two scalings, a sum and a shift.
 A tracked Buchberger basis of the Rabinowitsch ideal, kept with the tests
 as a reference, gives the same point, the same S2 and S1 and the same
 certificates.
@@ -36,9 +37,10 @@ pseudo-remainder gcd kept with the tests as a reference agrees.
 
 The per-query kernels give unit and q-monomial factors no scalar product:
 `_horner` and `_root_refutes` skip the powers of a root equal to one
-(gamma = 1 for the image ideal), the Laurent products that form the
-point-route cofactors pass inner scalars on as they are for an outer +-1,
-and over QSymbolic a factor c*q^m is a shift of exponents.
+(gamma = 1 for the image ideal), `LaurentPoly.scale` by 1, -1 or 0, which
+are three of the image ideal's four cofactor scalings, gives the
+polynomial itself, its negation or zero, and over QSymbolic a factor c*q^m
+is a shift of exponents.
 
 `Certificate.holds_for` re-expands every certificate in full, term by
 term, but over integers: each field flattens its scalars into rows
@@ -119,14 +121,13 @@ def _cramer_entry(g1, g2):
 
     With g_hat = Y^(-d) g = c + a*Y1 + b*Y2 for each generator (d its
     normalization shift), S2 = (x, y) solves x*g1_hat + y*g2_hat = Y2 - beta
-    and S1 solves the same for Y1 - gamma, both as constant Laurent
-    polynomials: by Cramer's rule on the linear parts, S2 = (-a2, a1)/det
-    and S1 = (b2, -b1)/det with det = a1*b2 - a2*b1, and beta and gamma are
-    minus the constant terms of those combinations.  Raises UnsupportedIdeal
+    and S1 solves the same for Y1 - gamma, both as pairs of field scalars:
+    by Cramer's rule on the linear parts, S2 = (-a2, a1)/det and S1 =
+    (b2, -b1)/det with det = a1*b2 - a2*b1, and beta and gamma are minus
+    the constant terms of those combinations.  Raises UnsupportedIdeal
     when a g_hat is not affine-linear, when det = 0, or when beta*gamma = 0.
     """
-    field = g1.field
-    zero = field.zero
+    zero = g1.field.zero
     shifts, rows = [], []
     for g in (g1, g2):
         shift, terms = g._poly_normalize()
@@ -144,14 +145,7 @@ def _cramer_entry(g1, g2):
     gamma = -(s1[0] * c1 + s1[1] * c2)
     if beta == zero or gamma == zero:
         raise UnsupportedIdeal(f"{g1} and {g2} meet off the torus, at ({gamma}, {beta})")
-    const = LaurentPoly.constant
-    return (
-        beta,
-        gamma,
-        tuple(const(field, x) for x in s2),
-        tuple(const(field, x) for x in s1),
-        tuple(shifts),
-    )
+    return beta, gamma, s2, s1, tuple(shifts)
 
 
 @dataclass(frozen=True)
@@ -179,6 +173,13 @@ class Certificate:
         are summed per key (e1, e2, j) as an unreduced fraction: numerators
         add over equal denominators and cross-multiply otherwise.  The
         identity holds when every numerator is 0.
+
+        Each key keeps its own denominator on purpose.  Summing every row
+        over one common denominator scales each numerator up to q^E for an
+        exponent span E, and the integers grow huge: with Python 3.11 on a
+        shared 2-vCPU VM, that variant made `verify_image` at the span bound
+        5x slower at p=2, E=4096 (0.109 -> 0.572 s) and 18x slower at p=7,
+        E=2730 (0.076 -> 1.374 s), for no gain on the benchmark workloads.
         """
         field = h.field
         if any(p.field != field for p in (self.u1, self.u2, g1, g2)):
@@ -271,7 +272,7 @@ class MembershipSolver:
         Otherwise synthetic division at the pair's point (`_point_quotients`)
         gives h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and each
         cofactor is (Q2*S2_i + Q1*S1_i)*Y^(h - d_i) from the pair's cached
-        point entry: two Laurent products, a sum and a shift.  Raises
+        point entry: two scalings, a sum and a shift.  Raises
         UnsupportedIdeal when the pair is not the ideal of one torus point.
         Every certificate is re-expanded before it is returned.
         """
@@ -306,7 +307,7 @@ class MembershipSolver:
         q2, q1 = _of(field, q2), _of(field, q1)
         cert = Certificate(
             *[
-                (q2 * a + q1 * b).shift(h1 - d1, h2 - d2)
+                (q2.scale(a) + q1.scale(b)).shift(h1 - d1, h2 - d2)
                 for a, b, (d1, d2) in zip(s2, s1, shifts)
             ]
         )

@@ -174,10 +174,16 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        c = self.field.coerce(scalar)
-        if c == self.field.zero:
-            return LaurentPoly.zero(self.field)
-        return _of(self.field, {e: v * c for e, v in self.terms.items()})
+        """self * scalar.  The field's one and -one cost no scalar product."""
+        field = self.field
+        c = field.coerce(scalar)
+        if c == field.one:
+            return self
+        if c == -field.one:
+            return -self
+        if c == field.zero:
+            return LaurentPoly.zero(field)
+        return _of(field, {e: v * c for e, v in self.terms.items()})
 
     def shift(self, e1, e2):
         """self * Y1^e1 * Y2^e2."""

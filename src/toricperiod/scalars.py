@@ -51,20 +51,6 @@ def pstrip(coeffs):
     return tuple(c)
 
 
-def padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
-    return pstrip(out)
-
-
-def psub(a, b):
-    return padd(a, tuple(-x for x in b))
-
-
 def pmul(a, b):
     if not a or not b:
         return ()

@@ -37,7 +37,7 @@ exactly when its gcd is a member.
 """
 
 from toricperiod.laurent import LaurentPoly, NotDivisible, _grevlex2, _of
-from toricperiod.scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip, psub
+from toricperiod.scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip
 
 
 def _grevlex3(e):
@@ -276,7 +276,22 @@ def oracle_membership(h, g1, g2):
 # Computed by a primitive pseudo-remainder sequence in (k[Y2])[Y1].  The outer
 # polynomials are dense tuples over Y1 whose entries are dense tuples over Y2,
 # lowest degree first at both layers, so the univariate helpers from scalars
-# apply directly to the coefficient arithmetic.
+# apply directly to the coefficient arithmetic, with padd and psub here, which
+# the engine does not use.
+
+
+def padd(a, b):
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        out.append(x + y)
+    return pstrip(out)
+
+
+def psub(a, b):
+    return padd(a, tuple(-x for x in b))
 
 
 def _rec_strip(f):

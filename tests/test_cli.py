@@ -78,6 +78,21 @@ def test_identities_check_periods_against_window(monkeypatch, capsys):
     assert out.count("cleared window gives 1") == 2
 
 
+def test_identities_build_each_marker_window_once(monkeypatch, capsys):
+    # PHI_W's window serves both iwahori-period and iwahori-zeta-cleared.
+    built = []
+    cleared_window = cli.cleared_window
+
+    def counted(vec, field=None):
+        built.append(vec)
+        return cleared_window(vec, field)
+
+    monkeypatch.setattr(cli, "cleared_window", counted)
+    code, _, _ = run_cli(capsys, "identities")
+    assert code == 0
+    assert built == [family.SPH, family.PHI_W]
+
+
 def test_identities_out_file(tmp_path, capsys):
     target = tmp_path / "identities.txt"
     code, out, _ = run_cli(capsys, "identities", "--out", str(target))

@@ -1,5 +1,10 @@
 import ast
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -510,7 +515,12 @@ def test_cramer_entry_matches_the_buchberger_point_entry(field):
         basis = oracle_basis(g1, g2)
         assert [_leading(poly)[0] for poly, _ in basis] == POINT_LMS
         entry = _cramer_entry(g1, g2)
-        assert entry == oracle_point_entry(g1, g2)
+        beta, gamma, s2, s1, shifts = entry
+        # The engine keeps S2 and S1 as scalars; the oracle reads them off
+        # its basis reps as constant Laurent polynomials.
+        const = LaurentPoly.constant
+        s2, s1 = (tuple(const(field, x) for x in s) for s in (s2, s1))
+        assert (beta, gamma, s2, s1, shifts) == oracle_point_entry(g1, g2)
         assert [str(c) for c in entry[:2]] == [str(field.q_power(-1)), str(field.one)]
 
 
@@ -907,23 +917,56 @@ def test_root_test_agrees_with_exact_division(case):
         assert not _root_refutes(h, g)
 
 
-@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+# Run in a child by the test below: for each query, the root tests against g1
+# and g2 and whether the solver's certificate re-expands (null for none).
+_FAR_OFFSET_QUERIES = """
+import json, sys
+from toricperiod.groebner import MembershipSolver, _root_refutes
+from toricperiod.laurent import LaurentPoly, y1, y2
+from toricperiod.period import image_ideal
+from toricperiod.scalars import QNumeric, QSymbolic
+
+field = {"q3": QNumeric(3), "symbolic": QSymbolic()}[sys.argv[1]]
+g1, g2 = image_ideal(field)
+far = LaurentPoly.monomial(field, field.one, 10**18, 10**18)
+lone = g2 * (y1(field) + 2) * far
+point = (g1 * y2(field) + g2 * y1(field, 2)) * far
+out = {}
+for name, h in (("lone", lone), ("point", point), ("outside", lone + far)):
+    cert = MembershipSolver().membership(h, g1, g2)
+    holds = None if cert is None else cert.holds_for(h, g1, g2)
+    out[name] = [_root_refutes(h, g1), _root_refutes(h, g2), holds]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("field", ["q3", "symbolic"])
 def test_far_offset_queries_cost_no_huge_power(field):
     # g2's root is Y1 = q*Y2, and h sits at Y1^(10^18): the root test must
     # raise q only to exponents relative to h's minimum in Y1, or a query
-    # far from the origin takes a power q^(10^18).
-    g1, g2 = image_ideal(field)
-    far = LaurentPoly.monomial(field, field.one, 10**18, 10**18)
-    lone = g2 * (y1(field) + 2) * far
-    point = (g1 * y2(field) + g2 * y1(field, 2)) * far
-    for h in (lone, point):
-        assert _root_refutes(h, g1)
-        assert _root_refutes(h, g2) == (h is point)
-        cert = MembershipSolver().membership(h, g1, g2)
-        assert cert is not None and cert.holds_for(h, g1, g2)
-    outside = lone + far
-    assert _root_refutes(outside, g1) and _root_refutes(outside, g2)
-    assert MembershipSolver().membership(outside, g1, g2) is None
+    # far from the origin takes a power q^(10^18).  That power cannot be
+    # interrupted, so the queries run in a child with a timeout and a
+    # memory cap, and a regression fails instead of hanging.
+    src = str(Path(groebner.__file__).resolve().parent.parent)
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAR_OFFSET_QUERIES, field],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    for name in ("lone", "point"):
+        refutes_g1, refutes_g2, holds = got[name]
+        assert refutes_g1
+        assert refutes_g2 == (name == "point")
+        assert holds is True
+    refutes_g1, refutes_g2, holds = got["outside"]
+    assert refutes_g1 and refutes_g2
+    assert holds is None
 
 
 # -- ideal comparison -------------------------------------------------------------------
@@ -958,6 +1001,52 @@ def test_certificate_json_shape():
         LaurentPoly.from_json_terms(S, doc["u2"]),
     )
     assert rebuilt.holds_for(g1, g1, g2)
+
+
+# Point-route certificates of one member per field, as (c, e1, e2) terms of
+# u1 and u2.  The symbolic member is scaled by 1/(1 + q), so its scalars have
+# a denominator that is not a power of q.
+_PINNED_POINT_CERTS = {
+    "q3": (
+        [("-2/9", -1, -1), ("2/27", 0, -2), ("-2/3", -1, 0), ("1/3", 0, -1)]
+        + [("-1/27", 1, -2), ("1/3", 0, 0), ("-1/9", 1, -1), ("1/3", 1, 0)],
+        [("2/9", -1, -1), ("2/3", -1, 0), ("-1/3", 0, -1), ("2", -1, 1), ("-1", 0, 0)]
+        + [("1/9", 1, -1), ("-1", 0, 1), ("1/3", 1, 0), ("1", 2, -1), ("-1", 1, 1)],
+    ),
+    "symbolic": (
+        [("(-2)/(q^2 + q^3)", -1, -1), ("(2)/(q^3 + q^4)", 0, -2)]
+        + [("(-2)/(q + q^2)", -1, 0), ("(3)/(q^2 + q^3)", 0, -1)]
+        + [("(-1)/(q^3 + q^4)", 1, -2), ("(1)/(q + q^2)", 0, 0)]
+        + [("(-1)/(q^2 + q^3)", 1, -1), ("(1)/(q + q^2)", 1, 0)],
+        [("(2)/(q^2 + q^3)", -1, -1), ("(2)/(q + q^2)", -1, 0)]
+        + [("(-3)/(q^2 + q^3)", 0, -1), ("(2)/(1 + q)", -1, 1)]
+        + [("(-3)/(q + q^2)", 0, 0), ("(1)/(q^2 + q^3)", 1, -1)]
+        + [("(-1)/(1 + q)", 0, 1), ("(1)/(q + q^2)", 1, 0)]
+        + [("(1)/(1 + q)", 2, -1), ("(-1)/(1 + q)", 1, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_point_route_certificate_json_is_pinned(field):
+    # Neither generator divides h, and both quotients Q2 and Q1 have terms,
+    # so every scaling and the sum of the point-route cofactors show here.
+    g1, g2 = image_ideal(field)
+    scalar = RationalFunction((Fraction(1),), (Fraction(1), Fraction(1))) if field is S else 1
+    h = g1 * y2(field) + g2 * y1(field, 2) * y2(field, -1) + g1 * g2 * mono(field, 2, -1, 1)
+    h = h.scale(scalar)
+    for g in (g1, g2):
+        with pytest.raises(NotDivisible):
+            h.divide_exact(g)
+    beta, gamma = _cramer_entry(g1, g2)[:2]
+    q2, q1, r = _point_quotients(h._poly_normalize()[1], beta, gamma, field.one)
+    assert q2 and q1 and not r
+    u1, u2 = _PINNED_POINT_CERTS["symbolic" if field is S else "q3"]
+    assert MembershipSolver().membership(h, g1, g2).to_json() == {
+        "u1": [{"c": c, "e": [e1, e2]} for c, e1, e2 in u1],
+        "u2": [{"c": c, "e": [e1, e2]} for c, e1, e2 in u2],
+        "verified": True,
+    }
 
 
 # -- gcd and principality ------------------------------------------------------------------

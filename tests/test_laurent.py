@@ -210,6 +210,17 @@ def test_scale():
     assert f.scale(Fraction(1, 2)) + f.scale(Fraction(1, 2)) == f
 
 
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_scale_by_zero_one_minus_one_and_general(field):
+    f = mono(field, 3, 2, -1) - qpow(field, -1) * y1(field) + mono(field, Fraction(1, 2), 0, 4)
+    assert f.scale(0).terms == {} and f.scale(field.zero) == zero(field)
+    assert f.scale(1).terms == f.terms and f.scale(field.one).terms == f.terms
+    assert f.scale(-1).terms == (-f).terms == {e: -c for e, c in f.terms.items()}
+    c = field.q_power(-1) * Fraction(2, 5) + field.one
+    assert f.scale(c).terms == {e: v * c for e, v in f.terms.items()}
+    assert f.scale(c) == f * LaurentPoly.constant(field, c)
+
+
 # -- exact division ------------------------------------------------------------
 
 

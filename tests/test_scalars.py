@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from groebner_oracle import padd, psub
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,13 +14,11 @@ from toricperiod.scalars import (
     QNumeric,
     QSymbolic,
     RationalFunction,
-    padd,
     parse_rational,
     pdiv_exact,
     pdivmod,
     pgcd,
     pmul,
-    psub,
     pstrip,
 )
 
