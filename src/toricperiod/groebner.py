@@ -2,9 +2,9 @@
 
 Membership of h in an ideal (g1, g2) of A = k[Y1^{+-1}, Y2^{+-1}] is decided
 in two steps.  First each generator g is tried as a lone divisor of h,
-which gives the one-term certificate (h/g, 0) or (0, h/g); a binomial
-generator linear in one variable is tried only if h vanishes on its root,
-which decides that divisibility exactly.
+which gives the one-term certificate (h/g, 0) or (0, h/g);
+`LaurentPoly.divide_exact` refutes a binomial generator linear in one
+variable by its root, without a division sweep.
 
 Past that, the pair must be the maximal ideal of one point of the torus,
 as the image ideal (1 - Y1, 1 - q^{-1} Y1 Y2^{-1}) is of (Y1, Y2) = (1, 1/q).
@@ -36,11 +36,11 @@ affine-linear generators are coprime and the ideal is proper.  The
 pseudo-remainder gcd kept with the tests as a reference agrees.
 
 The per-query kernels give unit and q-monomial factors no scalar product:
-`_horner` and `_root_refutes` skip the powers of a root equal to one
-(gamma = 1 for the image ideal), `LaurentPoly.scale` by 1, -1 or 0, which
-are three of the image ideal's four cofactor scalings, gives the
-polynomial itself, its negation or zero, and over QSymbolic a factor c*q^m
-is a shift of exponents.
+`_horner` and the root test of `LaurentPoly.divide_exact` skip the powers
+of a root equal to one (gamma = 1 for the image ideal), `LaurentPoly.scale`
+by 1, -1 or 0, which are three of the image ideal's four cofactor
+scalings, gives the polynomial itself, its negation or zero, and over
+QSymbolic a factor c*q^m is a shift of exponents.
 
 `Certificate.holds_for` re-expands every certificate in full, term by
 term, but over integers: each field flattens its scalars into rows
@@ -212,42 +212,6 @@ class Certificate:
         }
 
 
-def _root_refutes(h, g):
-    """True when g is a unit times Y_v - r*Y_w^d and h does not vanish at its root.
-
-    A binomial whose two exponents differ by 1 in Y_v is such a unit
-    multiple, and A/(Y_v - r*Y_w^d) is k[Y_w^{+-1}] by Y_v -> r*Y_w^d, so
-    g divides h exactly when h vanishes after that substitution: True means
-    h.divide_exact(g) raises NotDivisible.  Any other g gives False.
-
-    r is raised only to exponents relative to h's minimum in Y_v: that
-    monomial factor is a unit and does not change whether h vanishes, and
-    an input far from the origin costs no huge power.
-    """
-    if len(g.terms) != 2:
-        return False
-    (e, ce), (f, cf) = g.terms.items()
-    v = next((v for v in (0, 1) if abs(e[v] - f[v]) == 1), None)
-    if v is None:
-        return False
-    if e[v] < f[v]:
-        (e, ce), (f, cf) = (f, cf), (e, ce)
-    w = 1 - v
-    r, d = -cf / ce, f[w] - e[w]
-    unit = r == h.field.one
-    low = min((x[v] for x in h.terms), default=0)
-    powers, sums = {}, {}
-    for x, c in h.terms.items():
-        a = x[v] - low
-        if not unit:
-            if a not in powers:
-                powers[a] = r**a
-            c = c * powers[a]
-        key = x[w] + d * a
-        sums[key] = sums[key] + c if key in sums else c
-    return any(sums.values())
-
-
 class MembershipSolver:
     """Decides h in (g1, g2)*A with certificates, caching one point entry
     (`_cramer_entry`) per pair."""
@@ -266,9 +230,9 @@ class MembershipSolver:
         """Certificate if h lies in the ideal (g1, g2) of the Laurent ring, else None.
 
         First each generator g is tried as a lone divisor of h, giving the
-        certificate (h/g, 0) or (0, h/g); when g is a unit times
-        Y_v - r*Y_w^d, h is divided only if it vanishes at Y_v = r*Y_w^d
-        (`_root_refutes`).  A pair with a zero generator is then decided.
+        certificate (h/g, 0) or (0, h/g); `divide_exact` refutes a g that is
+        a unit times Y_v - r*Y_w^d by its root, without a division sweep.
+        A pair with a zero generator is then decided.
         Otherwise synthetic division at the pair's point (`_point_quotients`)
         gives h_hat = Q2*(Y2 - beta) + Q1*(Y1 - gamma) + r, and each
         cofactor is (Q2*S2_i + Q1*S1_i)*Y^(h - d_i) from the pair's cached
@@ -286,7 +250,7 @@ class MembershipSolver:
         # Single-generator quotients first: they produce the short
         # certificates (t, 0) or (0, t) whenever one generator divides h.
         for g, shape in ((g1, True), (g2, False)):
-            if g.is_zero or _root_refutes(h, g):
+            if g.is_zero:
                 continue
             try:
                 t = h.divide_exact(g)

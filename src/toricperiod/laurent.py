@@ -70,10 +70,12 @@ class LaurentPoly:
         clean = {}
         if terms:
             zero = field.zero
-            for e, c in terms.items():
+            for (e1, e2), c in terms.items():
+                if type(e1) is not int or type(e2) is not int:
+                    raise ValueError(f"exponent pair of integers expected, got {(e1, e2)!r}")
                 c = field.coerce(c)
                 if c != zero:
-                    clean[(int(e[0]), int(e[1]))] = c
+                    clean[(e1, e2)] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
@@ -222,10 +224,13 @@ class LaurentPoly:
     def divide_exact(self, divisor):
         """Exact quotient self/divisor in the Laurent ring, or NotDivisible.
 
-        Both operands are first normalized into the polynomial ring by
-        monomial units; exact divisibility is unchanged by that, and in the
-        polynomial ring leading terms (grevlex) of an exact quotient chain
-        must cancel step by step, so a single division sweep decides it.
+        A divisor of two terms whose exponents differ by 1 in Y_v is a unit
+        times Y_v - r*Y_w^d, so self must vanish on Y_v = r*Y_w^d: that is
+        tested first, with r raised only to exponents relative to self's
+        minimum in Y_v, and not at all when r = 1.  Then both operands are
+        normalized into the polynomial ring by monomial units, which keeps
+        exact divisibility, and there the grevlex leading terms of an exact
+        quotient chain cancel step by step, so one sweep decides it.
         """
         d = self._coerce(divisor)
         if d is None:
@@ -234,18 +239,38 @@ class LaurentPoly:
             raise NotInvertible("exact division by zero")
         if self.is_zero:
             return LaurentPoly.zero(self.field)
-        (h1, h2), hterms = self._poly_normalize()
+        if len(d.terms) == 2:
+            (e, ce), (f, cf) = d.terms.items()
+            v = 0 if abs(e[0] - f[0]) == 1 else 1 if abs(e[1] - f[1]) == 1 else None
+            if v is not None:
+                if e[v] < f[v]:
+                    (e, ce), (f, cf) = (f, cf), (e, ce)
+                w = 1 - v
+                r, step = -cf / ce, f[w] - e[w]
+                unit = r == self.field.one
+                low = min(x[v] for x in self.terms)
+                powers, sums = {}, {}
+                for x, c in self.terms.items():
+                    a = x[v] - low
+                    if not unit:
+                        if a not in powers:
+                            powers[a] = r**a
+                        c = c * powers[a]
+                    key = x[w] + step * a
+                    sums[key] = sums[key] + c if key in sums else c
+                if any(sums.values()):
+                    raise NotDivisible("not an exact divisor")
+        (h1, h2), rem = self._poly_normalize()
         (d1, d2), dterms = d._poly_normalize()
         lt_d = max(dterms, key=_grevlex2)
         cd = dterms[lt_d]
         zero = self.field.zero
         quo = {}
-        rem = dict(hterms)
         while rem:
             lt_r = max(rem, key=_grevlex2)
             t = (lt_r[0] - lt_d[0], lt_r[1] - lt_d[1])
             if t[0] < 0 or t[1] < 0:
-                raise NotDivisible(f"{self} is not divisible by {divisor}")
+                raise NotDivisible("not an exact divisor")
             c = quo[t] = rem[lt_r] / cd
             for e, v in dterms.items():
                 key = (e[0] + t[0], e[1] + t[1])

@@ -37,7 +37,8 @@ Y2^k (J_k - J_{k-1}); each S_v enters it as q w S_v at k = -v and as
 
     U(f) = q^{-L} F0 Y2^{-L} + (q Y2 - 1) * w * sum over v of S_v Y2^{-v-1}.
 
-The markers are profiles too, of level 0 with no shells.
+The markers are profiles too, of level 0 with no shells, and so is a
+combination of markers alone.
 
 F0 and the S_v are read without forming a group element: w n(u) has an
 explicit Iwasawa form, so each S_v is a sum of the class values of f over
@@ -63,6 +64,7 @@ from math import lcm
 
 from .family import (
     IwahoriPhiW,
+    LinComb,
     Spherical,
     TableVector,
     big_cell_split,  # noqa: F401  (bound here so perfbench/tracer.py can time the split)
@@ -226,11 +228,19 @@ def big_cell_profile(f):
 
 def _profile(f, field, profile=None):
     """The profile of f over field; a marker's has level 0, no shells and
-    (identity, at_weyl) = (1, 0) for SPH and (0, 1) for PHI_W."""
+    (identity, at_weyl) = (1, 0) for SPH and (0, 1) for PHI_W, and a
+    combination tied to no prime has the combination of its parts'."""
     if isinstance(f, Spherical):
         return BigCellProfile(None, 0, LaurentPoly.one(field), LaurentPoly.zero(field), {})
     if isinstance(f, IwahoriPhiW):
         return BigCellProfile(None, 0, LaurentPoly.zero(field), LaurentPoly.one(field), {})
+    if profile is None and isinstance(f, LinComb) and vector_prime(f) is None:
+        identity = at_weyl = LaurentPoly.zero(field)
+        for coeff, vec in f.terms:
+            part = _profile(vec, field)
+            coeff = coeff if coeff.field == field else coeff.embed(field)
+            identity, at_weyl = identity + coeff * part.identity, at_weyl + coeff * part.at_weyl
+        return BigCellProfile(None, 0, identity, at_weyl, {})
     return big_cell_profile(f) if profile is None else profile
 
 

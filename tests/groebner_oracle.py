@@ -3,8 +3,9 @@
 The engine (`toricperiod.groebner`) decides membership in the image ideal by
 synthetic division at its one point, with the point's cofactors read off by
 Cramer's rule.  This module decides the same questions for any generator
-pair by the general route, and imports nothing from the engine's groebner
-module, so the two agree only if both are right.
+pair by the general route, imports nothing from the engine's groebner
+module and divides by its own sweep, never by `LaurentPoly.divide_exact`,
+so the two agree only if both are right.
 
 Membership questions about ideals of A = k[Y1^{+-1}, Y2^{+-1}] are decided
 by passing to the polynomial ring k[Y1, Y2, u] and adjoining the relation
@@ -36,7 +37,7 @@ alone; the reference answer is gcd-then-membership: the pair is principal
 exactly when its gcd is a member.
 """
 
-from toricperiod.laurent import LaurentPoly, NotDivisible, _grevlex2, _of
+from toricperiod.laurent import LaurentPoly, _grevlex2, _of
 from toricperiod.scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip
 
 
@@ -237,10 +238,40 @@ def oracle_point_entry(g1, g2):
     return _point_entry(basis, g1, g2)
 
 
+def oracle_divide(h, g):
+    """h/g in the Laurent ring for a nonzero g, or None when g does not divide h.
+
+    Both are cleared of their monomial units, and h is reduced by g in
+    grevlex order: an exact quotient chain cancels leading terms step by
+    step, so the sweep fails exactly when a leading term of the remainder
+    is not a multiple of g's.  Unlike `LaurentPoly.divide_exact`, no
+    divisor is first refuted by its root.
+    """
+    (h1, h2), rem = h._poly_normalize()
+    (d1, d2), dterms = g._poly_normalize()
+    lt_d = max(dterms, key=_grevlex2)
+    quo = {}
+    while rem:
+        lt_r = max(rem, key=_grevlex2)
+        t = (lt_r[0] - lt_d[0], lt_r[1] - lt_d[1])
+        if t[0] < 0 or t[1] < 0:
+            return None
+        c = quo[t] = rem[lt_r] / dterms[lt_d]
+        for e, v in dterms.items():
+            key = (e[0] + t[0], e[1] + t[1])
+            s = rem[key] - c * v if key in rem else -c * v
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return _of(h.field, quo).shift(h1 - d1, h2 - d2)
+
+
 def oracle_membership(h, g1, g2):
     """Cofactors (u1, u2) with u1*g1 + u2*g2 == h, or None when h is not in (g1, g2)*A.
 
-    A generator that divides h alone gives (h/g, 0) or (0, h/g), g1 first.
+    A generator that divides h alone (`oracle_divide`) gives (h/g, 0) or
+    (0, h/g), g1 first.
     Otherwise h_hat is reduced against `oracle_basis(g1, g2)`: a nonzero
     remainder means non-member, and a zero one leaves reps whose images
     under u -> (Y1*Y2)^{-1}, carried back by the units -Y^(h - d_i), are the
@@ -254,11 +285,9 @@ def oracle_membership(h, g1, g2):
     for i, g in enumerate((g1, g2)):
         if g.is_zero:
             continue
-        try:
-            t = h.divide_exact(g)
-        except NotDivisible:
-            continue
-        return (t, zero) if i == 0 else (zero, t)
+        t = oracle_divide(h, g)
+        if t is not None:
+            return (t, zero) if i == 0 else (zero, t)
     (h1, h2), hterms = h._poly_normalize()
     h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
     rem, reps = _tracked_nf(h_hat, ({}, {}, {}), oracle_basis(g1, g2))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from groebner_oracle import (
@@ -19,19 +20,19 @@ from groebner_oracle import (
     _tracked_nf,
     bivariate_gcd,
     oracle_basis,
+    oracle_divide,
     oracle_membership,
     oracle_point_entry,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricperiod import UnsupportedIdeal, groebner, scalars
+from toricperiod import UnsupportedIdeal, groebner, laurent, scalars
 from toricperiod.groebner import (
     Certificate,
     MembershipSolver,
     _cramer_entry,
     _point_quotients,
-    _root_refutes,
 )
 from toricperiod.laurent import LaurentPoly, NotDivisible, _of, mono, one, qpow, y1, y2, zero
 from toricperiod.period import image_ideal, image_ideal_alt
@@ -854,21 +855,25 @@ def test_zero_generator_pair_is_decided_by_lone_division(field):
 
 
 def test_oracle_shares_no_code_with_the_solver():
-    # The reference must not import the module it checks.
+    # The reference must not import the module it checks, nor divide by the
+    # engine's exact division, which holds the root test.
     tree = ast.parse((Path(__file__).parent / "groebner_oracle.py").read_text())
-    imported = []
+    imported, divides = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
             imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif "divide_exact" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            divides.append(node.lineno)
     assert imported
     bad = [m for m in imported if m.split(".")[-1] == "groebner" or ".groebner." in m]
     assert not bad, bad
+    assert not divides, divides
 
 
-# -- the root test for single-generator shortcuts ---------------------------------
+# -- the root test of exact division, for single-generator shortcuts --------------
 
 
 def _binomials(field):
@@ -905,48 +910,64 @@ def root_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(root_cases())
 def test_root_test_agrees_with_exact_division(case):
+    # divide_exact raises exactly when the oracle's plain sweep fails and
+    # otherwise returns its quotient.  Its root test refutes g (a nonzero h
+    # with no call to the sweep's sort key) exactly when a root-shaped g
+    # does not divide h, and never refutes any other g.
     h, g, applies = case
-    try:
-        h.divide_exact(g)
-        divisible = True
-    except NotDivisible:
-        divisible = False
+    want = oracle_divide(h, g)
+    with mock.patch.object(laurent, "_grevlex2", side_effect=laurent._grevlex2) as sweep:
+        try:
+            got = h.divide_exact(g)
+        except NotDivisible:
+            got = None
+    assert got == want
+    refuted = not h.is_zero and not sweep.called
     if applies:
-        assert _root_refutes(h, g) == (not divisible)
+        assert refuted == (want is None)
     else:
-        assert not _root_refutes(h, g)
+        assert not refuted
 
 
-# Run in a child by the test below: for each query, the root tests against g1
-# and g2 and whether the solver's certificate re-expands (null for none).
+# Run in a child by the test below: for each query, whether exact division
+# by g1 and by g2 raises NotDivisible, and whether the solver's certificate
+# re-expands (null for none).
 _FAR_OFFSET_QUERIES = """
 import json, sys
-from toricperiod.groebner import MembershipSolver, _root_refutes
-from toricperiod.laurent import LaurentPoly, y1, y2
+from toricperiod.groebner import MembershipSolver
+from toricperiod.laurent import LaurentPoly, NotDivisible, y1, y2
 from toricperiod.period import image_ideal
 from toricperiod.scalars import QNumeric, QSymbolic
 
 field = {"q3": QNumeric(3), "symbolic": QSymbolic()}[sys.argv[1]]
 g1, g2 = image_ideal(field)
 far = LaurentPoly.monomial(field, field.one, 10**18, 10**18)
+
+def refutes(h, g):
+    try:
+        h.divide_exact(g)
+    except NotDivisible:
+        return True
+    return False
+
 lone = g2 * (y1(field) + 2) * far
 point = (g1 * y2(field) + g2 * y1(field, 2)) * far
 out = {}
 for name, h in (("lone", lone), ("point", point), ("outside", lone + far)):
     cert = MembershipSolver().membership(h, g1, g2)
     holds = None if cert is None else cert.holds_for(h, g1, g2)
-    out[name] = [_root_refutes(h, g1), _root_refutes(h, g2), holds]
+    out[name] = [refutes(h, g1), refutes(h, g2), holds]
 print(json.dumps(out))
 """
 
 
 @pytest.mark.parametrize("field", ["q3", "symbolic"])
 def test_far_offset_queries_cost_no_huge_power(field):
-    # g2's root is Y1 = q*Y2, and h sits at Y1^(10^18): the root test must
-    # raise q only to exponents relative to h's minimum in Y1, or a query
-    # far from the origin takes a power q^(10^18).  That power cannot be
-    # interrupted, so the queries run in a child with a timeout and a
-    # memory cap, and a regression fails instead of hanging.
+    # g2's root is Y1 = q*Y2, and h sits at Y1^(10^18): the root test of
+    # divide_exact must raise q only to exponents relative to h's minimum
+    # in Y1, or a query far from the origin takes a power q^(10^18).  That
+    # power cannot be interrupted, so the queries run in a child with a
+    # timeout and a memory cap, and a regression fails instead of hanging.
     src = str(Path(groebner.__file__).resolve().parent.parent)
     cap = 1 << 30
     proc = subprocess.run(

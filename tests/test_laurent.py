@@ -64,6 +64,13 @@ def test_zero_coefficients_dropped():
     assert (a - a).is_zero
 
 
+@pytest.mark.parametrize("e", [(1.5, 0), ("2", "0"), (True, 0)])
+def test_constructor_refuses_non_integer_exponents(e):
+    # int() would store (1, 0), (2, 0) and (1, 0); a bool is not an int here.
+    with pytest.raises(ValueError):
+        LaurentPoly(N3, {e: 1})
+
+
 def test_ring_axioms():
     rng = random.Random(101)
     for field in (S, N3):
@@ -247,6 +254,26 @@ def test_divide_exact_failures():
     with pytest.raises(NotInvertible):
         g1.divide_exact(zero(S))
     assert zero(S).divide_exact(g1).is_zero
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_refuted_root_divisor_never_enters_the_sweep(field, monkeypatch):
+    # Each divisor is a unit times Y_v - r*Y_w^d, and each dividend misses
+    # its root, so the root test raises before any grevlex sweep.
+    def sweep(e):
+        raise AssertionError("division sweep entered")
+
+    monkeypatch.setattr(laurent, "_grevlex2", sweep)
+    h = y1(field, 5) * y2(field, -3) + mono(field, Fraction(2, 3), 0, 1)
+    for g in (
+        one(field) - y1(field),
+        cs_factor(field),
+        qpow(field, 2) * y2(field, 4) - mono(field, Fraction(-5), -1, 7),
+    ):
+        with pytest.raises(NotDivisible):
+            h.divide_exact(g)
+        with pytest.raises(NotDivisible):
+            (h * g + one(field)).divide_exact(g)
 
 
 def test_divide_by_unit_is_always_exact():

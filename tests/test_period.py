@@ -18,7 +18,7 @@ from toricperiod.family import (
     sph_table,
     tabulate,
 )
-from toricperiod import groebner, period, scalars, whittaker
+from toricperiod import groebner, laurent, period, scalars, whittaker
 from toricperiod.cli import main
 from toricperiod.groebner import Certificate, MembershipSolver
 from toricperiod.laurent import (
@@ -33,7 +33,7 @@ from toricperiod.laurent import (
     y2,
     zero,
 )
-from toricperiod.localfield import Mat2, diag, psi_eval, unipotent
+from toricperiod.localfield import Mat2, P1Class, diag, psi_eval, unipotent
 from toricperiod.period import (
     VerdictMismatch,
     cleared_window,
@@ -91,6 +91,31 @@ def test_marker_period_parts(field):
     # l(f) = f(1) g2 + g1 U(f): the spherical vector is (1, 0), the Iwahori one (0, 1)
     assert period_parts(SPH, field) == (one(field), zero(field))
     assert period_parts(PHI_W, field) == (zero(field), one(field))
+
+
+def test_symbolic_marker_combination_has_a_period():
+    # A combination of markers is tied to no prime: its profile is the
+    # combination of the markers', so its period is c_sph * g2 + c_phi * g1.
+    c_sph, c_phi = mono(S, Fraction(2, 3), 1, -1), -qpow(S, 2) * y2(S)
+    combo = LinComb([(c_sph, SPH), (c_phi, PHI_W)])
+    g1, g2 = image_ideal(S)
+    assert toric_period(combo, S) == c_sph * g2 + c_phi * g1
+    report = verify_image(combo, S)
+    assert report.member and report.certificate.holds_for(report.la, g1, g2)
+    assert toric_period(LinComb([(one(S), SPH), (one(S), PHI_W)]), S) == g1 + g2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_marker_combination_matches_its_table(p):
+    F = QNumeric(p)
+    # coefficients over QSymbolic are embedded, as evaluation embeds them
+    combo = LinComb(
+        [(mono(S, Fraction(2, 3), 1, -1), SPH), (-one(S), PHI_W), (mono(F, Fraction(5), 0, 2), SPH)]
+    )
+    table = tabulate(combo, p, 1, F)
+    assert toric_period(combo, F) == toric_period(table)
+    for k in range(-3, 5):
+        assert whittaker_coefficient(combo, k, F) == whittaker_coefficient(table, k), k
 
 
 def test_mixed_primes_raise_field_mismatch():
@@ -218,6 +243,23 @@ def test_spherical_ratio():
     F = QNumeric(2)
     assert spherical_ratio(sph_table(F, 2, 1)) == one(F)
     assert spherical_ratio(f0_table(F, 2, 1)) is None
+
+
+def test_spherical_ratio_at_the_span_bound_is_decided_by_the_root(monkeypatch):
+    # U(f) spans Y1^4096 to Y2^4096 here; g2 = 1 - q^{-1} Y1 Y2^{-1} is
+    # refuted at its root Y1 = q*Y2 with no division sweep.
+    F = QNumeric(2)
+    table = TableVector(2, 1, {
+        P1Class(2, 1, False, 0): y1(F, 4096),
+        P1Class(2, 1, False, 1): one(F),
+        P1Class(2, 1, True, 0): y2(F, 4096),
+    })
+
+    def sweep(e):
+        raise AssertionError("division sweep entered")
+
+    monkeypatch.setattr(laurent, "_grevlex2", sweep)
+    assert spherical_ratio(table) is None
 
 
 def _ratio_by_dividing_the_period(f, field=None):
