@@ -19,7 +19,6 @@ from .family import (
 )
 from .groebner import CertificateError, MembershipSolver, UnsupportedIdeal
 from .laurent import NotDivisible, NotInvertible, TailViolation
-from .localfield import ConductorExceeded
 from .period import (
     VerdictMismatch,
     cleared_window,

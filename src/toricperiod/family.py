@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly, _of
+from .laurent import LaurentPoly, _of, mono, one, zero
 from .localfield import (
     Mat2,
     P1Class,
@@ -107,7 +107,7 @@ class LinComb:
 
 def chi_delta_value(field, a1, a2):
     """Value of the half-density-shifted character on diag valuations (a1, a2)."""
-    return LaurentPoly.monomial(field, field.q_power(a2), a1, a2)
+    return mono(field, field.q_power(a2), a1, a2)
 
 
 def evaluate(f, g, field):
@@ -125,7 +125,7 @@ def evaluate(f, g, field):
         fac = iwasawa_decompose(g)
         if valuation(fac.k.c, g.p) == 0:
             return chi_delta_value(field, fac.a1, fac.a2)
-        return LaurentPoly.zero(field)
+        return zero(field)
     if isinstance(f, TableVector):
         fac = iwasawa_decompose(g)
         val = f.values[p1_class_of(fac.k, f.n)]
@@ -135,7 +135,7 @@ def evaluate(f, g, field):
     if isinstance(f, Translate):
         return evaluate(f.inner, g * f.by, field)
     if isinstance(f, LinComb):
-        out = LaurentPoly.zero(field)
+        out = zero(field)
         for coeff, vec in f.terms:
             if coeff.field != field:
                 coeff = coeff.embed(field)
@@ -218,7 +218,7 @@ def tabulate(f, p, n, field):
 
 def sph_table(field, p, n):
     """The spherical vector as an explicit depth-n table (all values 1)."""
-    return TableVector(p, n, {cls: LaurentPoly.one(field) for cls in p1_enumerate(p, n)})
+    return TableVector(p, n, {cls: one(field) for cls in p1_enumerate(p, n)})
 
 
 def f0_table(field, p, n):
@@ -227,13 +227,13 @@ def f0_table(field, p, n):
     A class survives exactly when its bottom-left entry is a unit: affine
     classes [u:1] with u a unit, and every class at infinity.
     """
-    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    one_, zero_ = one(field), zero(field)
     values = {}
     for cls in p1_enumerate(p, n):
         if not cls.at_infinity and cls.rep % p == 0:
-            values[cls] = zero
+            values[cls] = zero_
         else:
-            values[cls] = one
+            values[cls] = one_
     return TableVector(p, n, values)
 
 
@@ -244,7 +244,7 @@ def big_cell_split(f, p, field):
     identity value of the remainder is checked before returning.
     """
     a = evaluate(f, Mat2.identity(p), field)
-    f_w = LinComb([(LaurentPoly.one(field), f), (-a, SPH)])
+    f_w = LinComb([(one(field), f), (-a, SPH)])
     if not evaluate(f_w, Mat2.identity(p), field).is_zero:
         raise ArithmeticError("big-cell remainder does not vanish at the identity")
     return a, f_w

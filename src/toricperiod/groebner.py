@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, NotDivisible, _grevlex2, _of
+from .laurent import LaurentPoly, NotDivisible, _grevlex2, _of, one, zero
 from .scalars import FieldMismatch
 
 
@@ -243,9 +243,9 @@ class MembershipSolver:
         field = h.field
         if g1.field != field or g2.field != field:
             raise FieldMismatch("membership arguments live in different fields")
-        zero = LaurentPoly.zero(field)
+        zero_ = zero(field)
         if h.is_zero:
-            return Certificate(zero, zero)
+            return Certificate(zero_, zero_)
 
         # Single-generator quotients first: they produce the short
         # certificates (t, 0) or (0, t) whenever one generator divides h.
@@ -256,7 +256,7 @@ class MembershipSolver:
                 t = h.divide_exact(g)
             except NotDivisible:
                 continue
-            cert = Certificate(t, zero) if shape else Certificate(zero, t)
+            cert = Certificate(t, zero_) if shape else Certificate(zero_, t)
             if not cert.holds_for(h, g1, g2):
                 raise CertificateError(f"division certificate failed for {h}")
             return cert
@@ -281,7 +281,7 @@ class MembershipSolver:
 
     def is_proper(self, g1, g2):
         """True when (g1, g2) is a proper ideal, i.e. 1 is not a member."""
-        return self.membership(LaurentPoly.one(g1.field), g1, g2) is None
+        return self.membership(one(g1.field), g1, g2) is None
 
     def ideal_equal(self, pair_a, pair_b):
         """Four membership certificates proving (a1, a2) = (b1, b2), else None.
@@ -319,7 +319,7 @@ class MembershipSolver:
         if g2.field != field:
             raise FieldMismatch("principality arguments live in different fields")
         if g1.is_zero and g2.is_zero:
-            return True, LaurentPoly.zero(field)
+            return True, zero(field)
         for g, other in ((g1, g2), (g2, g1)):
             if g.is_zero:
                 continue
@@ -331,4 +331,4 @@ class MembershipSolver:
             lead = terms[max(terms, key=_grevlex2)]
             return True, _of(field, terms).scale(field.one / lead)
         self._point(g1, g2)
-        return False, LaurentPoly.one(field)
+        return False, one(field)

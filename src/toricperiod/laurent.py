@@ -57,84 +57,54 @@ def _of(field, terms):
 class LaurentPoly:
     """Sparse two-variable Laurent polynomial over a fixed field descriptor.
 
-    Terms map exponent pairs (e1, e2) to nonzero scalars.  All operators
-    demand equal descriptors; use embed to move between fields.  The
-    constructor checks outside input; the arithmetic builds through `_of`.
-    Only those two write `terms`, so the hash is computed once, on first use.
+    Terms map exponent pairs (e1, e2) to nonzero scalars.  `+`, `-`, `*`
+    and `divide_exact` take a LaurentPoly over the same field: any other
+    operand is a TypeError and one over another field a FieldMismatch.  A
+    scalar multiplies through `scale`; `embed` moves between fields.  `==`
+    holds exactly when the fields and the terms are equal.  The constructor
+    checks outside input; the arithmetic builds through `_of`.  Only those
+    two write `terms`, so the hash is computed once, on first use.
     """
 
     __slots__ = ("field", "terms", "_hash")
 
-    def __init__(self, field, terms=None):
+    def __init__(self, field, terms):
         self.field = field
         clean = {}
-        if terms:
-            zero = field.zero
-            for (e1, e2), c in terms.items():
-                if type(e1) is not int or type(e2) is not int:
-                    raise ValueError(f"exponent pair of integers expected, got {(e1, e2)!r}")
-                c = field.coerce(c)
-                if c != zero:
-                    clean[(e1, e2)] = c
+        nil = field.zero
+        for (e1, e2), c in terms.items():
+            if type(e1) is not int or type(e2) is not int:
+                raise ValueError(f"exponent pair of integers expected, got {(e1, e2)!r}")
+            c = field.coerce(c)
+            if c != nil:
+                clean[(e1, e2)] = c
         self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, {(0, 0): field.one})
-
-    @classmethod
-    def monomial(cls, field, coeff, e1, e2):
-        return cls(field, {(e1, e2): coeff})
-
-    @classmethod
-    def constant(cls, field, coeff):
-        return cls(field, {(0, 0): coeff})
 
     # -- ring structure ------------------------------------------------------
 
-    def _check(self, other):
+    def _same_field(self, other):
+        """False when other is not a LaurentPoly; FieldMismatch when it is one
+        over another field."""
+        if not isinstance(other, LaurentPoly):
+            return False
         if self.field != other.field:
             raise FieldMismatch(
                 f"Laurent operands over {self.field} and {other.field}"
             )
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            self._check(other)
-            return other
-        try:
-            return LaurentPoly.constant(self.field, self.field.coerce(other))
-        except FieldMismatch:
-            return None
+        return True
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
-        return _of(self.field, add_terms(self.terms, o.terms))
-
-    __radd__ = __add__
+        return _of(self.field, add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return _of(self.field, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self + (-other)
 
     def __mul__(self, other):
         """Product by term pairs, the shorter factor in the outer loop.
@@ -146,10 +116,9 @@ class LaurentPoly:
         The first hit on an exponent is stored as it comes; keys whose sum
         cancels are dropped.
         """
-        o = self._coerce(other)
-        if o is None:
+        if not self._same_field(other):
             return NotImplemented
-        outer, inner = self.terms, o.terms
+        outer, inner = self.terms, other.terms
         if len(outer) > len(inner):
             outer, inner = inner, outer
         one = self.field.one
@@ -173,8 +142,6 @@ class LaurentPoly:
                         del terms[e]
         return _of(self.field, terms)
 
-    __rmul__ = __mul__
-
     def scale(self, scalar):
         """self * scalar.  The field's one and -one cost no scalar product."""
         field = self.field
@@ -184,7 +151,7 @@ class LaurentPoly:
         if c == -field.one:
             return -self
         if c == field.zero:
-            return LaurentPoly.zero(field)
+            return zero(field)
         return _of(field, {e: v * c for e, v in self.terms.items()})
 
     def shift(self, e1, e2):
@@ -192,10 +159,10 @@ class LaurentPoly:
         return _of(self.field, {(a + e1, b + e2): c for (a, b), c in self.terms.items()})
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        """Equal fields and equal terms; never raises across fields."""
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == o.terms
+        return self.field == other.field and self.terms == other.terms
 
     def __hash__(self):
         try:
@@ -232,15 +199,14 @@ class LaurentPoly:
         exact divisibility, and there the grevlex leading terms of an exact
         quotient chain cancel step by step, so one sweep decides it.
         """
-        d = self._coerce(divisor)
-        if d is None:
-            raise FieldMismatch("divisor in a different field")
-        if d.is_zero:
+        if not self._same_field(divisor):
+            raise TypeError(f"divisor must be a LaurentPoly, got {divisor!r}")
+        if divisor.is_zero:
             raise NotInvertible("exact division by zero")
         if self.is_zero:
-            return LaurentPoly.zero(self.field)
-        if len(d.terms) == 2:
-            (e, ce), (f, cf) = d.terms.items()
+            return zero(self.field)
+        if len(divisor.terms) == 2:
+            (e, ce), (f, cf) = divisor.terms.items()
             v = 0 if abs(e[0] - f[0]) == 1 else 1 if abs(e[1] - f[1]) == 1 else None
             if v is not None:
                 if e[v] < f[v]:
@@ -261,10 +227,10 @@ class LaurentPoly:
                 if any(sums.values()):
                     raise NotDivisible("not an exact divisor")
         (h1, h2), rem = self._poly_normalize()
-        (d1, d2), dterms = d._poly_normalize()
+        (d1, d2), dterms = divisor._poly_normalize()
         lt_d = max(dterms, key=_grevlex2)
         cd = dterms[lt_d]
-        zero = self.field.zero
+        nil = self.field.zero
         quo = {}
         while rem:
             lt_r = max(rem, key=_grevlex2)
@@ -274,8 +240,8 @@ class LaurentPoly:
             c = quo[t] = rem[lt_r] / cd
             for e, v in dterms.items():
                 key = (e[0] + t[0], e[1] + t[1])
-                s = rem.get(key, zero) - c * v
-                if s == zero:
+                s = rem.get(key, nil) - c * v
+                if s == nil:
                     rem.pop(key, None)
                 else:
                     rem[key] = s
@@ -399,30 +365,32 @@ class LaurentPoly:
         return self.to_y_display()
 
 
-# Short constructors; tests and the engine build elements from these.
+# The short constructors, each through the checked constructor; the engine
+# and the tests build values from these, a constant c as mono(field, c, 0, 0).
 
 def zero(field):
-    return LaurentPoly.zero(field)
+    return LaurentPoly(field, {})
 
 
 def one(field):
-    return LaurentPoly.one(field)
+    return LaurentPoly(field, {(0, 0): field.one})
 
 
 def y1(field, e=1):
-    return LaurentPoly.monomial(field, field.one, e, 0)
+    return LaurentPoly(field, {(e, 0): field.one})
 
 
 def y2(field, e=1):
-    return LaurentPoly.monomial(field, field.one, 0, e)
+    return LaurentPoly(field, {(0, e): field.one})
 
 
 def qpow(field, e):
-    return LaurentPoly.constant(field, field.q_power(e))
+    return LaurentPoly(field, {(0, 0): field.q_power(e)})
 
 
 def mono(field, c, e1, e2):
-    return LaurentPoly.monomial(field, field.from_fraction(c), e1, e2)
+    """c * Y1^e1 * Y2^e2, for a scalar c of field (an int or Fraction included)."""
+    return LaurentPoly(field, {(e1, e2): c})
 
 
 class ZPoly:
@@ -458,7 +426,7 @@ class ZPoly:
     def coefficient(self, k):
         if not (self.k_min <= k <= self.k_max):
             raise ValueError(f"Z^{k} outside declared window [{self.k_min}, {self.k_max}]")
-        return self.coeffs.get(k, LaurentPoly.zero(self.field))
+        return self.coeffs.get(k, zero(self.field))
 
     def clear_l_factor(self, d):
         """Multiply by (1 - Y1 Z)(1 - Y2 Z) and certify degree <= d.
@@ -475,7 +443,7 @@ class ZPoly:
         f = self.field
         e1 = y1(f) + y2(f)
         e2 = y1(f) * y2(f)
-        z = LaurentPoly.zero(f)
+        z = zero(f)
         prod = {}
         for j in range(self.k_min, self.k_max + 1):
             pj = (
@@ -492,7 +460,7 @@ class ZPoly:
 
     def eval_z1(self):
         """Evaluate at Z = 1: the sum of all window coefficients."""
-        acc = LaurentPoly.zero(self.field)
+        acc = zero(self.field)
         for _, v in sorted(self.coeffs.items()):
             acc = acc + v
         return acc

@@ -2,9 +2,9 @@
 
 Matrices live over Z[1/p] (Fractions whose denominators are p-powers), which
 is dense enough to hold every group element the engine ever touches while
-keeping the arithmetic exact.  The additive character psi has conductor Z_p:
-psi(x) = zeta_{p^m}^u for x with fractional part u/p^m, and psi is trivial
-on Z_p itself.
+keeping the arithmetic exact.  The additive character psi has conductor Z_p
+and enters only through its exact shell integrals
+(`shell_character_integral`): no value of psi is ever formed.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Cyclotomic
-
 INF = float("inf")
-
-
-class ConductorExceeded(ValueError):
-    """psi was asked for a value outside the chosen cyclotomic level."""
 
 
 def valuation(x, p):
@@ -219,25 +213,6 @@ def class_rep(cls):
     if cls.at_infinity:
         return Mat2(cls.p, 0, -1, 1, cls.rep)
     return Mat2(cls.p, 1, 0, cls.rep, 1)
-
-
-def psi_eval(x, p, level):
-    """psi(x) = zeta_{p^m}^u as an element of Q(zeta_{p^level}).
-
-    Here u/p^m is the p-fractional part of x; trivial on Z_p.  Raises
-    ConductorExceeded if x needs a deeper root of unity than the level holds.
-    """
-    x = Fraction(x)
-    v = valuation(x, p)
-    if v >= 0:
-        return Cyclotomic.from_fraction(p, level, 1)
-    m = -v
-    if m > level:
-        raise ConductorExceeded(
-            f"psi at v(x) = {-m} needs level {m}, have {level}"
-        )
-    u = residue_mod(x * p**m, p, m)
-    return Cyclotomic.zeta_power(p, level, u * p ** (level - m))
 
 
 def coset_reps(p, min_val, level):

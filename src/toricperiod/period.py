@@ -21,9 +21,10 @@ ideal (g1, g2); `verify_image` certifies that membership for a given
 vector.  The spherical vector's own period is g2; dividing by it
 normalizes periods against the spherical line.
 
-For a vector tied to p the closed form is summed on integers: with f(1)
-over D, the lcm of the table's denominators, and U(f) over D q^L (q - 1)
-(`whittaker.period_numerators`), l(f) is an integer sum over
+For a vector tied to p the closed form is summed on integers:
+`whittaker.period_numerators` hands over f(1) and U(f) as integer
+numerators, each with its denominator (D, the lcm of the table's
+denominators, and D q^L (q - 1)), so l(f) is an integer sum over
 D q^{L+1} (q - 1), and each of its coefficients is built as a Fraction
 once.  The point oracle that checks every verdict decides l(1, 1/q) = 0
 as one integer sum as well, and shares no code with the solver.
@@ -88,24 +89,25 @@ def toric_period(f, field=None):
     """The period l(f) = f(1) * g2 + g1 * U(f), built without a window.
 
     A marker's parts are combined with the generators as Laurent values.
-    For a vector tied to p, with f(1) over D and U(f) over D p^L (p - 1)
-    as integer numerators (`period_numerators`), the period is summed as
-    integers over D p^{L+1} (p - 1), from g1 = 1 - Y1 and
-    p g2 = p - Y1 Y2^{-1}, and each coefficient becomes one Fraction.
+    For a vector tied to p, with f(1) and U(f) as integer numerators over
+    their denominators (`period_numerators`), the first dividing the
+    second, the period is summed as integers over p times U(f)'s
+    denominator, from g1 = 1 - Y1 and p g2 = p - Y1 Y2^{-1}, and each
+    coefficient becomes one Fraction.
     """
     field = vector_field(f, field)
     if vector_prime(f) is None:
         identity, u = period_parts(f, field)
         g1, g2 = image_ideal(field)
         return identity * g2 + g1 * u
-    p, L, den, identity, u = period_numerators(f)
-    k = p**L * (p - 1)
+    p, (identity, d_identity), (u, d_u) = period_numerators(f)
+    k = d_u // d_identity
     la = {}
     _add_shifted(la, identity, 0, 0, p * k)
     _add_shifted(la, identity, 1, -1, -k)
     _add_shifted(la, u, 0, 0, p)
     _add_shifted(la, u, 1, 0, -p)
-    return from_numerators(field, la, den * p * k)
+    return from_numerators(field, la, p * d_u)
 
 
 def spherical_ratio(f, field=None):

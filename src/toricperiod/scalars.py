@@ -519,11 +519,11 @@ class QNumeric:
     def coerce(self, x):
         if type(x) is Fraction:
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         raise FieldMismatch(f"{x!r} is not a scalar of {self}")
 
-    # a rational (int or Fraction) only: no floats and no strings
+    # a rational (int or Fraction) only: no bools, no floats and no strings
     from_fraction = coerce
 
     def rational_part(self, x):
@@ -564,7 +564,7 @@ class QSymbolic:
     def coerce(self, x):
         if isinstance(x, RationalFunction):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return RationalFunction((x,))
         raise FieldMismatch(f"{x!r} is not a scalar of {self}")
 

@@ -75,7 +75,7 @@ from .family import (
     vector_field,
     vector_prime,
 )
-from .laurent import LaurentPoly, _of
+from .laurent import LaurentPoly, _of, one, zero
 from .localfield import (
     P1Class,
     coset_reps,  # noqa: F401  (bound here so perfbench/tracer.py can count cosets)
@@ -93,7 +93,7 @@ def shintani_sph(field, k):
     series in Z is exactly 1 / ((1 - Y1 Z)(1 - Y2 Z)).
     """
     if k < 0:
-        return LaurentPoly.zero(field)
+        return zero(field)
     return LaurentPoly(field, {(i, k - i): field.one for i in range(k + 1)})
 
 
@@ -108,8 +108,7 @@ def cs_factor_regularized(field):
     The shell sum collapses because the character integral vanishes on every
     shell of depth two or more, leaving the unit ball plus one correction.
     """
-    one = LaurentPoly.one(field)
-    return one + sph_big_cell_value(field, 1).scale(shell_character_integral(-1, field))
+    return one(field) + sph_big_cell_value(field, 1).scale(shell_character_integral(-1, field))
 
 
 @dataclass(frozen=True)
@@ -231,11 +230,11 @@ def _profile(f, field, profile=None):
     (identity, at_weyl) = (1, 0) for SPH and (0, 1) for PHI_W, and a
     combination tied to no prime has the combination of its parts'."""
     if isinstance(f, Spherical):
-        return BigCellProfile(None, 0, LaurentPoly.one(field), LaurentPoly.zero(field), {})
+        return BigCellProfile(None, 0, one(field), zero(field), {})
     if isinstance(f, IwahoriPhiW):
-        return BigCellProfile(None, 0, LaurentPoly.zero(field), LaurentPoly.one(field), {})
+        return BigCellProfile(None, 0, zero(field), one(field), {})
     if profile is None and isinstance(f, LinComb) and vector_prime(f) is None:
-        identity = at_weyl = LaurentPoly.zero(field)
+        identity = at_weyl = zero(field)
         for coeff, vec in f.terms:
             part = _profile(vec, field)
             coeff = coeff if coeff.field == field else coeff.embed(field)
@@ -245,11 +244,11 @@ def _profile(f, field, profile=None):
 
 
 def period_numerators(f):
-    """(p, L, D, f(1), U(f)) for a vector tied to p, as integer term dicts:
-    f(1) over D, the lcm of its table's denominators, and U(f) over
-    D * p^L * (p - 1).
+    """(p, (f(1), D), (U(f), D * p^L * (p - 1))) for a vector tied to p:
+    each part an integer term dict with its denominator, D the lcm of the
+    table's denominators.
 
-    Over that denominator the sweep of the module docstring reads
+    Over its denominator the sweep of the module docstring reads
     (p - 1) * F0 * Y2^{-L} + sum over v of (p * S_v * Y2^{-v} - S_v * Y2^{-v-1}),
     with F0 and the S_v the profile's numerators over D.  Zeros are kept,
     as in the profile's numerators.
@@ -260,7 +259,7 @@ def period_numerators(f):
     for v, s in shells.items():
         _add_shifted(u, s, 0, -v, p)
         _add_shifted(u, s, 0, -v - 1, -1)
-    return p, L, den, identity, u
+    return p, (identity, den), (u, den * p**L * (p - 1))
 
 
 def period_parts(f, field=None):
@@ -274,8 +273,8 @@ def period_parts(f, field=None):
     if vector_prime(f) is None:
         marker = _profile(f, field)
         return marker.identity, marker.at_weyl
-    p, L, den, identity, u = period_numerators(f)
-    return from_numerators(field, identity, den), from_numerators(field, u, den * p**L * (p - 1))
+    _, identity, u = period_numerators(f)
+    return from_numerators(field, *identity), from_numerators(field, *u)
 
 
 def whittaker_coefficient(f, k, field=None, profile=None):

@@ -37,7 +37,7 @@ alone; the reference answer is gcd-then-membership: the pair is principal
 exactly when its gcd is a member.
 """
 
-from toricperiod.laurent import LaurentPoly, _grevlex2, _of
+from toricperiod.laurent import LaurentPoly, _grevlex2, _of, zero
 from toricperiod.scalars import FieldMismatch, pdiv_exact, pgcd, pmul, pstrip
 
 
@@ -279,15 +279,15 @@ def oracle_membership(h, g1, g2):
     checked here.
     """
     field = h.field
-    zero = LaurentPoly.zero(field)
+    zero_ = zero(field)
     if h.is_zero:
-        return zero, zero
+        return zero_, zero_
     for i, g in enumerate((g1, g2)):
         if g.is_zero:
             continue
         t = oracle_divide(h, g)
         if t is not None:
-            return (t, zero) if i == 0 else (zero, t)
+            return (t, zero_) if i == 0 else (zero_, t)
     (h1, h2), hterms = h._poly_normalize()
     h_hat = {(e[0], e[1], 0): c for e, c in hterms.items()}
     rem, reps = _tracked_nf(h_hat, ({}, {}, {}), oracle_basis(g1, g2))
@@ -373,7 +373,7 @@ def bivariate_gcd(f, g):
     if f.field != g.field:
         raise FieldMismatch("gcd arguments live in different fields")
     if f.is_zero and g.is_zero:
-        return LaurentPoly.zero(field)
+        return zero(field)
 
     def to_rec(p):
         _, terms = p._poly_normalize()

@@ -18,7 +18,7 @@ from toricperiod import cli, family, groebner, period
 from toricperiod.cli import main
 from toricperiod.family import f0_table, random_table, vector_to_json
 from toricperiod.groebner import Certificate, MembershipSolver
-from toricperiod.laurent import LaurentPoly, ZPoly, one
+from toricperiod.laurent import LaurentPoly, ZPoly, one, zero
 from toricperiod.period import PeriodReport
 from toricperiod.scalars import QNumeric, QSymbolic, RationalFunction
 
@@ -233,7 +233,7 @@ def test_period_report_json_matches_indented_dumps(report):
 
 def test_period_report_json_fixed_cases():
     # an empty period with no certificate, and the non-ASCII display escaped
-    empty = PeriodReport(la=LaurentPoly(QNumeric(3)), member=False, certificate=None)
+    empty = PeriodReport(la=zero(QNumeric(3)), member=False, certificate=None)
     assert cli.period_report_json(empty) == json.dumps(empty.to_json(), indent=2)
     assert '"lA": []' in cli.period_report_json(empty)
     assert '"certificate": null' in cli.period_report_json(empty)

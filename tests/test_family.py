@@ -27,7 +27,7 @@ from toricperiod.family import (
     vector_prime,
     vector_to_json,
 )
-from toricperiod.laurent import LaurentPoly, mono, one, qpow, y1, y2, zero
+from toricperiod.laurent import mono, one, qpow, y1, y2, zero
 from toricperiod.localfield import (
     Mat2,
     P1Class,
@@ -251,13 +251,13 @@ def test_random_table_determinism():
 
 def test_table_validation():
     F = QNumeric(3)
-    values = {cls: LaurentPoly.one(F) for cls in p1_enumerate(3, 1)}
+    values = {cls: one(F) for cls in p1_enumerate(3, 1)}
     removed = next(iter(values))
     short = {c: v for c, v in values.items() if c != removed}
     with pytest.raises(ClassCoverageError):
         TableVector(3, 1, short)
     mixed = dict(values)
-    mixed[removed] = LaurentPoly.one(S)
+    mixed[removed] = one(S)
     with pytest.raises(FieldMismatch):
         TableVector(3, 1, mixed)
 
@@ -367,7 +367,7 @@ def test_json_label_and_coverage_messages():
         "(P1(Z/p^n) has p^n + p^(n-1) classes)"
     )
     F = QNumeric(3)
-    values = {c: LaurentPoly.one(F) for c in p1_enumerate(3, 1)[1:] + p1_enumerate(3, 2)[:1]}
+    values = {c: one(F) for c in p1_enumerate(3, 1)[1:] + p1_enumerate(3, 2)[:1]}
     with pytest.raises(ClassCoverageError) as exc:
         TableVector(3, 1, values)
     assert str(exc.value) == "table for p=3, n=1: missing ['[0:1]'], extra ['[0:1]']"

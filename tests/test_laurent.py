@@ -1,4 +1,5 @@
 import ast
+import operator
 import random
 import re
 from fractions import Fraction
@@ -81,10 +82,10 @@ def test_ring_axioms():
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-            assert a + 0 == a
-            assert a * 1 == a
+            assert a + zero(field) == a
+            assert a * one(field) == a
             e1, e2 = rng.randint(-3, 3), rng.randint(-3, 3)
-            assert a.shift(e1, e2) == a * LaurentPoly.monomial(field, field.one, e1, e2)
+            assert a.shift(e1, e2) == a * mono(field, field.one, e1, e2)
 
 
 def test_only_of_skips_the_checked_constructor():
@@ -180,7 +181,7 @@ def _telescoping(field, c, n):
     for k in range(n):
         terms[(k, -k)] = power
         power = power * c
-    return one(field) - LaurentPoly.monomial(field, c, 1, -1), LaurentPoly(field, terms)
+    return one(field) - mono(field, c, 1, -1), LaurentPoly(field, terms)
 
 
 def test_product_matches_schoolbook_reference():
@@ -202,7 +203,7 @@ def test_product_matches_schoolbook_reference():
                     field, x, y
                 )
         g, s = _telescoping(field, field.q_power(-1), 5)
-        assert g * s == one(field) - LaurentPoly.monomial(field, field.q_power(-5), 5, -5)
+        assert g * s == one(field) - mono(field, field.q_power(-5), 5, -5)
 
 
 def test_field_mismatch_guard():
@@ -210,6 +211,71 @@ def test_field_mismatch_guard():
         one(S) + one(N3)
     with pytest.raises(FieldMismatch):
         y1(S) * y1(QNumeric(5))
+
+
+def test_operands_over_another_field_are_field_mismatches():
+    pairs = ((one(S) - y1(S), one(N3) - y1(N3)), (y1(N3), y1(QNumeric(5))))
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            for op in (operator.add, operator.sub, operator.mul, LaurentPoly.divide_exact):
+                with pytest.raises(FieldMismatch):
+                    op(x, y)
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+@pytest.mark.parametrize(
+    "other", [3, Fraction(1, 2), RationalFunction((1, 1))], ids=["int", "fraction", "rational-function"]
+)
+def test_scalar_operands_are_type_errors(field, other):
+    # A scalar multiplies through scale; +, -, * and divide_exact take a
+    # LaurentPoly only, and refuse anything else as a plain TypeError.
+    a = one(field) - y1(field)
+    calls = [lambda op=op: op(a, other) for op in (operator.add, operator.sub, operator.mul)]
+    calls += [lambda op=op: op(other, a) for op in (operator.add, operator.sub, operator.mul)]
+    calls.append(lambda: a.divide_exact(other))
+    for call in calls:
+        with pytest.raises(TypeError) as err:
+            call()
+        assert not isinstance(err.value, FieldMismatch)
+
+
+def test_equality_across_fields_is_false():
+    for a, b in ((one(N3), one(QNumeric(5))), (one(N3), one(S)), (y1(S) - one(S), y1(N3) - one(N3))):
+        for x, y in ((a, b), (b, a)):
+            assert (x == y) is False and x != y
+            assert x not in [y]
+    assert (zero(N3) == 0) is False and zero(N3) != 0
+    assert (one(S) == 1) is False and (one(N3) == Fraction(1)) is False
+
+
+@pytest.mark.parametrize("field", [N3, S], ids=["q3", "symbolic"])
+def test_bool_coefficients_are_refused(field):
+    # int(True) would store 1 and int(False) drop the term; a bool is no scalar.
+    for b in (True, False):
+        with pytest.raises(FieldMismatch):
+            LaurentPoly(field, {(0, 0): b})
+        with pytest.raises(FieldMismatch):
+            mono(field, b, 1, 0)
+        with pytest.raises(FieldMismatch):
+            y1(field).scale(b)
+
+
+def test_one_constructor_vocabulary_and_one_operand_type():
+    # Values are built by LaurentPoly(field, terms) and the module helpers
+    # (zero, one, y1, y2, qpow, mono); scalars enter through scale only.
+    for name in ("zero", "one", "monomial", "constant", "_coerce", "__radd__", "__rsub__", "__rmul__"):
+        assert not hasattr(LaurentPoly, name), name
+    with pytest.raises(TypeError):
+        LaurentPoly(N3)
+    root = Path(__file__).resolve().parents[1]
+    classmethod_call = re.compile(r"LaurentPoly\s*\.\s*(?:zero|one|monomial|constant)\b")
+    named = []
+    for folder in ("src", "tests", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if classmethod_call.search(line):
+                    named.append(f"{path.relative_to(root)}:{lineno}")
+    assert named == []
 
 
 def test_scale():
@@ -225,7 +291,7 @@ def test_scale_by_zero_one_minus_one_and_general(field):
     assert f.scale(-1).terms == (-f).terms == {e: -c for e, c in f.terms.items()}
     c = field.q_power(-1) * Fraction(2, 5) + field.one
     assert f.scale(c).terms == {e: v * c for e, v in f.terms.items()}
-    assert f.scale(c) == f * LaurentPoly.constant(field, c)
+    assert f.scale(c) == f * mono(field, c, 0, 0)
 
 
 # -- exact division ------------------------------------------------------------

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from character_oracle import ConductorExceeded, psi_eval
 
 from toricperiod.localfield import (
     INF,
-    ConductorExceeded,
     Mat2,
     P1Class,
     additive_haar_integral,
@@ -15,7 +15,6 @@ from toricperiod.localfield import (
     iwasawa_decompose,
     p1_class_of,
     p1_enumerate,
-    psi_eval,
     residue_mod,
     shell_character_integral,
     unipotent,

@@ -3,6 +3,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from character_oracle import psi_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from toricperiod.laurent import (
     y2,
     zero,
 )
-from toricperiod.localfield import Mat2, P1Class, diag, psi_eval, unipotent
+from toricperiod.localfield import Mat2, P1Class, diag, unipotent
 from toricperiod.period import (
     VerdictMismatch,
     cleared_window,
@@ -46,6 +47,7 @@ from toricperiod.period import (
 )
 from toricperiod.scalars import FieldMismatch, QNumeric, QSymbolic
 from toricperiod.whittaker import (
+    BigCellProfile,
     big_cell_profile,
     cs_factor_regularized,
     period_parts,
@@ -84,6 +86,21 @@ def test_table_vectors_reproduce_marker_periods():
 def test_symbolic_markers_require_field():
     with pytest.raises(ValueError):
         toric_period(SPH)
+
+
+def test_values_over_different_fields_compare_unequal():
+    # == never raises across fields, so neither do the containers and frozen
+    # dataclasses that hold Laurent values.
+    N3, N5 = QNumeric(3), QNumeric(5)
+    assert (image_ideal(N3)[0] == image_ideal(N5)[0]) is False
+    assert image_ideal(N3)[0] not in [image_ideal(N5)[0], image_ideal(S)[0]]
+    assert image_ideal(N3) != image_ideal(S)
+    assert (sph_table(N3, 3, 1) == sph_table(S, 3, 1)) is False
+    numeric, symbolic = verify_image(PHI_W, N3), verify_image(PHI_W, S)
+    assert (numeric == symbolic) is False
+    assert (numeric.certificate == symbolic.certificate) is False
+    profiles = [BigCellProfile(None, 0, one(F), zero(F), {}) for F in (N3, S)]
+    assert (profiles[0] == profiles[1]) is False
 
 
 @pytest.mark.parametrize("field", [S, QNumeric(3)], ids=["QSymbolic", "QNumeric3"])

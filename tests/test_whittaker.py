@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from character_oracle import psi_eval
 
 from toricperiod import family, whittaker
 from toricperiod.family import (
@@ -21,7 +22,6 @@ from toricperiod.localfield import (
     Mat2,
     coset_reps,
     diag,
-    psi_eval,
     unipotent,
     unit_reps,
     valuation,
